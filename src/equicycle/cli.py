@@ -210,6 +210,12 @@ def _cmd_gen(args):
     return 0
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="equicycle",
@@ -223,7 +229,7 @@ def _build_parser():
     p.add_argument("--witness", action="store_true",
                    help="attach two cycles of distinct lengths on rejection")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-vertices", type=int, default=14,
+    p.add_argument("--max-vertices", type=_positive_int, default=14,
                    help="oracle fallback size limit for witness extraction")
     p.set_defaults(func=_cmd_check)
 
@@ -234,7 +240,7 @@ def _build_parser():
 
     p = sub.add_parser("oracle", help="exhaustive cycle spectrum")
     p.add_argument("file")
-    p.add_argument("--max-vertices", type=int, default=14)
+    p.add_argument("--max-vertices", type=_positive_int, default=14)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

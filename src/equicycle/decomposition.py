@@ -44,19 +44,22 @@ class BlockDecomposition:
     bridges: tuple
     cut_vertices: tuple
     cycle_blocks: tuple
+    component_count: int  # connected components, isolated vertices included
 
 
 def _biconnected_components(vertex_count, adjacency):
     """Iterative Hopcroft-Tarjan.  Returns (edge lists per component,
-    articulation points)."""
+    articulation points, number of connected components)."""
     disc = [0] * vertex_count  # 0 = unvisited, else 1-based time
     low = [0] * vertex_count
     cuts = set()
     comps = []
     timer = 1
+    roots = 0  # one DFS per connected component
     for root in range(vertex_count):
         if disc[root]:
             continue
+        roots += 1
         disc[root] = low[root] = timer
         timer += 1
         frames = [(root, -1, iter(adjacency[root]))]
@@ -100,13 +103,13 @@ def _biconnected_components(vertex_count, adjacency):
                         cuts.add(u)
         if root_children > 1:
             cuts.add(root)
-    return comps, cuts
+    return comps, cuts, roots
 
 
 def decompose(g):
     """Full decomposition: bridges, cut vertices, and cycle blocks
     ordered by least contained vertex."""
-    comps, cuts = _biconnected_components(g.vertex_count, g.adjacency)
+    comps, cuts, component_count = _biconnected_components(g.vertex_count, g.adjacency)
     bridges_ = []
     blocks = []
     for comp in comps:
@@ -126,6 +129,7 @@ def decompose(g):
         bridges=tuple(sorted(bridges_)),
         cut_vertices=tuple(sorted(cuts)),
         cycle_blocks=tuple(blocks),
+        component_count=component_count,
     )
 
 

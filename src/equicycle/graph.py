@@ -35,7 +35,9 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+        # edges are sorted (u, v) pairs with u < v: each vertex meets its
+        # smaller neighbours, ascending, then its larger ones, so no sort
+        self.adjacency = tuple(map(tuple, adj))
         self.labels = tuple(labels) if labels is not None else None
 
     @property

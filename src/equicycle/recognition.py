@@ -12,8 +12,7 @@ afford.
 from dataclasses import dataclass, field
 
 from .decomposition import decompose
-from .errors import NotABlockError, NotRejectedError, OverBudgetError
-from .graph import connected_components
+from .errors import BudgetExceededError, NotABlockError, NotRejectedError
 from .oracle import SearchBudget, cycle_spectrum
 
 
@@ -41,9 +40,11 @@ class BookShape:
 class OtherShape:
     """Block matches neither accepted shape; reason is one of
     degree-profile, unequal-path-lengths, endpoints-adjacent-structure,
-    count-mismatch."""
+    count-mismatch.  For the two reasons that mean unequal hub-to-hub
+    chains, chains holds those chains for the witness path."""
 
     reason: str
+    chains: list | None = field(default=None, compare=False, repr=False)
 
     r = None
 
@@ -117,8 +118,8 @@ def _classify(block, check=False):
         return OtherShape("count-mismatch")
     if len(set(lens)) > 1:
         if 1 in lens:
-            return OtherShape("endpoints-adjacent-structure")
-        return OtherShape("unequal-path-lengths")
+            return OtherShape("endpoints-adjacent-structure", chains)
+        return OtherShape("unequal-path-lengths", chains)
     k = lens[0]
     # equal lengths with k = 1 would need parallel edges; unreachable in
     # a simple graph, kept as a guard
@@ -186,32 +187,21 @@ def _book_witness(block):
     return _chain_pair_cycle(chains[0], chains[1])
 
 
-def _theta_witness_pair(block):
-    """Two cycles of distinct lengths from a two-hub block with unequal
-    chain lengths, or None if the block has no such structure."""
-    adj = block.adjacency()
-    hubs = [v for v in block.vertices if len(adj[v]) > 2]
-    if len(hubs) != 2:
-        return None
-    chains = _hub_chains(block, adj, hubs[0], hubs[1])
-    if chains is None or sum(len(c) - 2 for c in chains) + 2 != len(block.vertices):
-        return None
-    chains.sort(key=len)
-    if len(chains[0]) == len(chains[-1]):
-        return None
-    shortest, longest = chains[0], chains[-1]
-    third = next(c for c in chains if c is not shortest and c is not longest)
-    return (
-        _chain_pair_cycle(shortest, third),
-        _chain_pair_cycle(longest, third),
-    )
+def _theta_witness_pair(chains):
+    """Two cycles of distinct lengths from the hub-to-hub chains (three
+    or more, not all of one length) of a two-hub block."""
+    shortest, third, *_, longest = sorted(chains, key=len)
+    return _chain_pair_cycle(shortest, third), _chain_pair_cycle(longest, third)
 
 
 def _oracle_witness_pair(block, budget):
+    # an over-budget block is never copied into a Graph
+    if len(block.vertices) > budget.max_vertices:
+        return None
+    sub, mapping = block.to_graph()
     try:
-        sub, mapping = block.to_graph()
         report = cycle_spectrum(sub, budget)
-    except OverBudgetError:
+    except BudgetExceededError:
         return None
     if len(report.lengths) < 2:
         return None
@@ -233,13 +223,16 @@ def _shape_cycle(block, shape):
 
 def _witness_pair(blocks, shapes, budget):
     """Find two simple cycles of distinct lengths, or None."""
+    budget.validate()
     # a single misshapen block always contains both lengths
     for block, shape in zip(blocks, shapes):
         if not isinstance(shape, OtherShape):
             continue
-        pair = _theta_witness_pair(block)
-        if pair is None:
-            pair = _oracle_witness_pair(block, budget)
+        if shape.chains is None and shape.reason in (
+                "endpoints-adjacent-structure", "unequal-path-lengths"):
+            shape = _classify(block)  # a shape made by hand carries no chains
+        pair = (_theta_witness_pair(shape.chains) if shape.chains is not None
+                else _oracle_witness_pair(block, budget))
         if pair is not None:
             return pair
     # otherwise two well-shaped blocks disagree on r
@@ -260,12 +253,13 @@ def decide(g, budget=None, witnesses=False, decomposition=None):
     B(r/2, r, p) for one common r, Acyclic when there are no cycle
     blocks, and DistinctLengths otherwise.  The decision never
     enumerates cycles; pass witnesses=True to also extract a concrete
-    pair of unequal cycles on rejection (oracle fallback is budgeted,
-    status 'decision-only' if it cannot afford one).
+    pair of unequal cycles on rejection.  The oracle fallback is
+    budgeted: a block over budget.max_vertices, or a tripped state guard,
+    gives status 'decision-only'; a budget field <= 0 raises ValueError.
     """
     decomp = decomposition if decomposition is not None else decompose(g)
     notes = ()
-    if len(connected_components(g)) > 1:
+    if decomp.component_count > 1:
         notes = ("input is disconnected; decided over all components",)
     blocks = decomp.cycle_blocks
     if not blocks:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from equicycle import parse_edge_list, serialize_edge_list, wedge, WedgeSpec, cycle
+from equicycle import complete, parse_edge_list, serialize_edge_list, wedge, WedgeSpec, cycle
 from equicycle.cli import main
 
 
@@ -141,6 +141,30 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["check", "oracle"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_vertices_must_be_positive(bowtie_file, capsys, verb, value):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, bowtie_file, "--max-vertices", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-vertices" in err and "positive integer" in err
+    assert "Traceback" not in err
+
+
+def test_check_witness_decision_only_when_state_guard_trips(tmp_path, capsys, monkeypatch):
+    import functools
+
+    import equicycle.cli as cli
+
+    monkeypatch.setattr(cli, "SearchBudget",
+                        functools.partial(cli.SearchBudget, max_visited_states=1000))
+    f = write_graph(tmp_path, "k8.edges", complete(8))
+    assert main(["check", f, "--witness", "--json", "--expect", "distinct"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["status"] == "distinct_lengths" and "witness" not in obj
 
 
 def test_byte_identical_runs(bowtie_file, capsys):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from equicycle import (
     BadVertexError,
@@ -146,3 +147,20 @@ def test_isolated_vertices_survive_header():
     g = parse_edge_list("vertices 5\n0 1\n")
     assert g.vertex_count == 5
     assert connected_components(g) == [[0, 1], [2], [3], [4]]
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda e: e[0] < e[1])),
+        st.randoms(use_true_random=False),
+    )))
+def test_adjacency_sorted_for_any_edge_order(case):
+    n, edge_set, rng = case
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edge_set]
+    rng.shuffle(pairs)
+    g = build(n, pairs)
+    for v in range(n):
+        expected = sorted({b for a, b in edge_set if a == v} | {a for a, b in edge_set if b == v})
+        assert g.adjacency[v] == tuple(expected)

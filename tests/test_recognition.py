@@ -123,6 +123,13 @@ def test_odd_acceptance_has_only_cycle_blocks():
         assert all(isinstance(sh, CycleShape) for sh in d.shapes)
 
 
+def test_decide_disconnected_notes_with_given_decomposition():
+    g = build(4, [(0, 1), (1, 2), (2, 0)])  # vertex 3 is isolated
+    d = decide(g, decomposition=decompose(g))
+    assert isinstance(d, AllCyclesEqual) and d.r == 3
+    assert d.notes == ("input is disconnected; decided over all components",)
+
+
 def test_decide_disconnected_notes():
     g = build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     d = decide(g)
@@ -178,6 +185,45 @@ def test_witnesses_decision_only_over_budget():
     g = complete(6)
     pair, status = extract_witnesses(g, budget=SearchBudget(max_vertices=4))
     assert pair is None and status == "decision-only"
+
+
+def test_witnesses_decision_only_when_state_guard_trips():
+    pair, status = extract_witnesses(complete(8), budget=SearchBudget(max_visited_states=1000))
+    assert pair is None and status == "decision-only"
+
+
+def test_bad_budget_raises_on_witness_path():
+    with pytest.raises(ValueError):
+        extract_witnesses(complete(6), budget=SearchBudget(max_vertices=0))
+
+
+def test_over_budget_block_is_never_copied(monkeypatch):
+    import equicycle.recognition as recognition
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("over-budget block reached the oracle")
+
+    monkeypatch.setattr(Block, "to_graph", refuse)
+    monkeypatch.setattr(recognition, "cycle_spectrum", refuse)
+    # Hamiltonian 20-cycle with two crossing chords: four hubs, no theta shape
+    g = build(20, [(i, (i + 1) % 20) for i in range(20)] + [(0, 10), (5, 15)])
+    d = decide(g, witnesses=True)
+    assert isinstance(d, DistinctLengths)
+    assert d.witness_a is None and d.witness_status == "decision-only"
+
+
+def test_theta_witnesses_from_hand_made_shape():
+    g = book(BookParams(1, 3, 2))
+    d = decompose(g)
+    shapes = (OtherShape("endpoints-adjacent-structure"),)
+    assert extract_witnesses(g, shapes, decomposition=d) == extract_witnesses(g)
+
+
+def test_other_shape_chains_stay_out_of_eq_and_repr():
+    shape = classify_block(single_block(book(BookParams(1, 3, 2))))
+    assert shape.chains is not None
+    assert shape == OtherShape("endpoints-adjacent-structure")
+    assert repr(shape) == repr(OtherShape("endpoints-adjacent-structure"))
 
 
 def test_extract_witnesses_requires_rejection():
