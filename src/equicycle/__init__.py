@@ -13,7 +13,6 @@ from .bounds import (
 from .decomposition import (
     Block,
     BlockDecomposition,
-    blockwise_spectrum_check,
     bridges,
     decompose,
 )

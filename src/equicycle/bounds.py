@@ -42,6 +42,7 @@ class Certificate:
     verdict: str  # "must_contain_distinct_lengths" | "inconclusive"
     cited_bound: int
     rule: str
+    premises: tuple = ()  # what the graph must satisfy for the verdict to hold
 
 
 def max_edges(n, r):
@@ -88,10 +89,10 @@ def extremal(n, r):
 
 
 def certify_distinct(n, m, r=None):
-    """Arithmetic certificate: a simple, connected, planar n-vertex
-    graph with m edges (and, if r is given, a cycle of length r) must
-    contain two cycles of different lengths whenever m exceeds the
-    applicable bound."""
+    """Arithmetic certificate: a simple, connected n-vertex graph with
+    m edges (and, if r is given, a cycle of length r) must contain two
+    cycles of different lengths whenever m exceeds the applicable bound.
+    The certificate lists these premises."""
     if m < 0:
         raise BadRangeError(f"negative edge count {m}")
     if r is None:
@@ -103,7 +104,10 @@ def certify_distinct(n, m, r=None):
     verdict = (
         "must_contain_distinct_lengths" if m > rep.bound else "inconclusive"
     )
-    return Certificate(n, m, r, verdict, rep.bound, rule)
+    premises = ("simple graph", "connected")
+    if r is not None:
+        premises += (f"has a cycle of length {r}",)
+    return Certificate(n, m, r, verdict, rep.bound, rule, premises)
 
 
 def certify_graph(g, r=None, budget=None):

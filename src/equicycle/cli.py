@@ -28,6 +28,11 @@ def _load_graph(filename):
         return parse_edge_list(fh.read())
 
 
+def _named(g, ids):
+    """Dense vertex ids as the input file's labels, for output."""
+    return list(ids) if g.labels is None else [g.labels[v] for v in ids]
+
+
 def _shape_json(shape):
     if isinstance(shape, CycleShape):
         return {"shape": "cycle", "r": shape.r}
@@ -55,8 +60,8 @@ def _cmd_check(args):
             obj["blocks"] = [_shape_json(s) for s in decision.shapes]
         if status == "distinct_lengths" and decision.witness_a is not None:
             obj["witness"] = {
-                "cycle_a": list(decision.witness_a),
-                "cycle_b": list(decision.witness_b),
+                "cycle_a": _named(g, decision.witness_a),
+                "cycle_b": _named(g, decision.witness_b),
                 "lengths": [len(decision.witness_a), len(decision.witness_b)],
             }
         if decision.notes:
@@ -72,10 +77,8 @@ def _cmd_check(args):
             print("two distinct cycle lengths exist")
             print("blocks: " + ", ".join(_shape_text(s) for s in decision.shapes))
             if decision.witness_a is not None:
-                print(f"cycle of length {len(decision.witness_a)}: "
-                      + " ".join(map(str, decision.witness_a)))
-                print(f"cycle of length {len(decision.witness_b)}: "
-                      + " ".join(map(str, decision.witness_b)))
+                for cyc in (decision.witness_a, decision.witness_b):
+                    print(f"cycle of length {len(cyc)}: " + " ".join(map(str, _named(g, cyc))))
         for note in decision.notes:
             print(f"note: {note}")
 
@@ -97,25 +100,27 @@ def _shape_text(shape):
 def _cmd_decompose(args):
     g = _load_graph(args.file)
     d = decompose(g)
+    bridges = [_named(g, e) for e in d.bridges]
+    cut_vertices = _named(g, d.cut_vertices)
     if args.json:
         _emit_json(
             {
-                "bridges": [list(e) for e in d.bridges],
-                "cut_vertices": list(d.cut_vertices),
+                "bridges": bridges,
+                "cut_vertices": cut_vertices,
                 "blocks": [
                     {
-                        "vertices": list(b.vertices),
-                        "edges": [list(e) for e in b.edges],
+                        "vertices": _named(g, b.vertices),
+                        "edges": [_named(g, e) for e in b.edges],
                     }
                     for b in d.cycle_blocks
                 ],
             }
         )
     else:
-        print("bridges: " + (", ".join(f"{u}-{v}" for u, v in d.bridges) or "none"))
-        print("cut vertices: " + (", ".join(map(str, d.cut_vertices)) or "none"))
+        print("bridges: " + (", ".join(f"{u}-{v}" for u, v in bridges) or "none"))
+        print("cut vertices: " + (", ".join(map(str, cut_vertices)) or "none"))
         for i, b in enumerate(d.cycle_blocks):
-            print(f"block {i}: vertices {' '.join(map(str, b.vertices))}")
+            print(f"block {i}: vertices {' '.join(map(str, _named(g, b.vertices)))}")
     return 0
 
 
@@ -130,7 +135,7 @@ def _cmd_oracle(args):
                 "circumference": report.circumference,
                 "lengths": list(report.lengths),
                 "witnesses": {
-                    str(k): list(report.witnesses[k]) for k in report.lengths
+                    str(k): _named(g, report.witnesses[k]) for k in report.lengths
                 },
             }
         )
@@ -173,12 +178,13 @@ def _cmd_certify(args):
                 "verdict": cert.verdict,
                 "cited_bound": cert.cited_bound,
                 "rule": cert.rule,
+                "premises": list(cert.premises),
             }
         )
     elif cert.verdict == "must_contain_distinct_lengths":
         print(
             f"must contain two cycles of different lengths: "
-            f"{cert.m} > {cert.cited_bound}"
+            f"{cert.m} > {cert.cited_bound} (premises: {', '.join(cert.premises)})"
         )
     else:
         print(f"inconclusive: {cert.m} <= {cert.cited_bound}")

@@ -7,9 +7,9 @@ the results concatenated.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .graph import Graph
-from .oracle import cycle_spectrum
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ class BlockDecomposition:
 
 def _biconnected_components(vertex_count, adjacency):
     """Iterative Hopcroft-Tarjan.  Returns (edge lists per component,
-    articulation points, number of connected components)."""
+    each edge as (u, v) with u < v; articulation points; number of
+    connected components)."""
     disc = [0] * vertex_count  # 0 = unvisited, else 1-based time
     low = [0] * vertex_count
     cuts = set()
@@ -62,24 +63,25 @@ def _biconnected_components(vertex_count, adjacency):
         roots += 1
         disc[root] = low[root] = timer
         timer += 1
-        frames = [(root, -1, iter(adjacency[root]))]
+        # a frame's mark is the edge-stack height below its tree edge
+        frames = [(root, -1, iter(adjacency[root]), 0)]
         estack = []
         root_children = 0
         while frames:
-            v, parent, it = frames[-1]
+            v, parent, it, mark = frames[-1]
             advanced = False
             for w in it:
                 if w == parent:
                     continue
                 if disc[w] == 0:
-                    estack.append((v, w))
+                    frames.append((w, v, iter(adjacency[w]), len(estack)))
+                    estack.append((v, w) if v < w else (w, v))
                     disc[w] = low[w] = timer
                     timer += 1
-                    frames.append((w, v, iter(adjacency[w])))
                     advanced = True
                     break
                 if disc[w] < disc[v]:
-                    estack.append((v, w))
+                    estack.append((v, w) if v < w else (w, v))
                     if disc[w] < low[v]:
                         low[v] = disc[w]
             if advanced:
@@ -90,13 +92,9 @@ def _biconnected_components(vertex_count, adjacency):
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
-                    comp = []
-                    while True:
-                        e = estack.pop()
-                        comp.append(e)
-                        if e == (u, v):
-                            break
-                    comps.append(comp)
+                    # the tree edge (u, v) and everything pushed after it
+                    comps.append(estack[mark:])
+                    del estack[mark:]
                     if u == root:
                         root_children += 1
                     else:
@@ -114,16 +112,10 @@ def decompose(g):
     blocks = []
     for comp in comps:
         if len(comp) == 1:
-            u, v = comp[0]
-            bridges_.append((u, v) if u < v else (v, u))
+            bridges_.append(comp[0])
             continue
-        verts = set()
-        edges = []
-        for u, v in comp:
-            verts.add(u)
-            verts.add(v)
-            edges.append((u, v) if u < v else (v, u))
-        blocks.append(Block(tuple(sorted(verts)), tuple(sorted(edges))))
+        comp.sort()
+        blocks.append(Block(tuple(sorted(set(chain.from_iterable(comp)))), tuple(comp)))
     blocks.sort(key=lambda b: b.vertices[0])
     return BlockDecomposition(
         bridges=tuple(sorted(bridges_)),
@@ -136,14 +128,3 @@ def decompose(g):
 def bridges(g):
     """Edges contained in no cycle."""
     return decompose(g).bridges
-
-
-def blockwise_spectrum_check(g, budget=None):
-    """Test utility: whole-graph cycle spectrum equals the union of the
-    per-block spectra."""
-    whole = set(cycle_spectrum(g, budget).lengths)
-    union = set()
-    for block in decompose(g).cycle_blocks:
-        sub, _ = block.to_graph()
-        union.update(cycle_spectrum(sub, budget).lengths)
-    return whole == union

@@ -9,7 +9,9 @@ request, falling back to the exhaustive oracle only for blocks it can
 afford.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .decomposition import decompose
 from .errors import BudgetExceededError, NotABlockError, NotRejectedError
@@ -95,20 +97,20 @@ def _hub_chains(block, adj, a, b):
 
 
 def _classify(block, check=False):
-    adj = block.adjacency()
     if check:
-        _require_block(block, adj)
+        _require_block(block, block.adjacency())
     m = len(block.vertices)
-    degs = [len(adj[v]) for v in block.vertices]
-    if all(d == 2 for d in degs):
-        # connected 2-regular block: a single cycle
+    # a block is 2-connected, so every degree is at least 2: as many edges
+    # as vertices leaves every degree at exactly 2, a single cycle
+    if len(block.edges) == m:
         return CycleShape(m)
-    hubs = [v for v in block.vertices if len(adj[v]) > 2]
+    hubs = [v for v, d in Counter(chain.from_iterable(block.edges)).items() if d > 2]
+    # two hubs have equal degree: a chain of degree-2 vertices from a hub
+    # back to itself would make that hub a cut vertex
     if len(hubs) != 2:
         return OtherShape("degree-profile")
-    a, b = hubs
-    if len(adj[a]) != len(adj[b]) or any(d not in (2, len(adj[a])) for d in degs):
-        return OtherShape("degree-profile")
+    a, b = sorted(hubs)
+    adj = block.adjacency()
     chains = _hub_chains(block, adj, a, b)
     if chains is None:
         return OtherShape("count-mismatch")

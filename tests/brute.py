@@ -1,11 +1,16 @@
-"""Shared brute-force helpers for the test suite.
+"""Shared brute-force helpers and reference implementations for the
+test suite.
 
-These are deliberately independent of the library's own algorithms:
-bitmask DFS over simple paths, used as the ground truth the structural
-decision procedure is checked against.
+The cycle helpers are deliberately independent of the library's own
+algorithms: bitmask DFS over simple paths, used as the ground truth the
+structural decision procedure is checked against.  The block helpers at
+the end are the library's earlier, simpler versions, kept as references
+for the faster ones.
 """
 
 import random
+
+from equicycle import BookShape, CycleShape, OtherShape, cycle_spectrum, decompose
 
 
 def adjacency_masks(n, edges):
@@ -113,3 +118,62 @@ def random_connected_edges(rng, n, extra):
     rng.shuffle(pool)
     edges.update(pool[:extra])
     return sorted(edges)
+
+
+def blockwise_spectrum_check(g, budget=None):
+    """Whole-graph cycle spectrum equals the union of the per-block
+    spectra."""
+    whole = set(cycle_spectrum(g, budget).lengths)
+    union = set()
+    for block in decompose(g).cycle_blocks:
+        sub, _ = block.to_graph()
+        union.update(cycle_spectrum(sub, budget).lengths)
+    return whole == union
+
+
+def _reference_hub_chains(block, adj, a, b):
+    chains = []
+    for w in adj[a]:
+        chain = [a, w]
+        prev, cur = a, w
+        while len(adj[cur]) == 2:
+            x, y = adj[cur]
+            nxt = y if x == prev else x
+            chain.append(nxt)
+            prev, cur = cur, nxt
+            if len(chain) > len(block.vertices) + 1:
+                return None
+        if cur != b:
+            return None
+        chains.append(chain)
+    return chains
+
+
+def reference_classify(block):
+    """Adjacency-based block classifier: reads every vertex degree, then
+    walks the hub-to-hub chains.  Same shapes, reasons and chains as
+    recognition._classify."""
+    adj = block.adjacency()
+    m = len(block.vertices)
+    degs = [len(adj[v]) for v in block.vertices]
+    if all(d == 2 for d in degs):
+        return CycleShape(m)
+    hubs = [v for v in block.vertices if len(adj[v]) > 2]
+    if len(hubs) != 2:
+        return OtherShape("degree-profile")
+    a, b = hubs
+    if len(adj[a]) != len(adj[b]) or any(d not in (2, len(adj[a])) for d in degs):
+        return OtherShape("degree-profile")
+    chains = _reference_hub_chains(block, adj, a, b)
+    if chains is None:
+        return OtherShape("count-mismatch")
+    lens = [len(c) - 1 for c in chains]
+    if sum(k - 1 for k in lens) + 2 != m:
+        return OtherShape("count-mismatch")
+    if len(set(lens)) > 1:
+        if 1 in lens:
+            return OtherShape("endpoints-adjacent-structure", chains)
+        return OtherShape("unequal-path-lengths", chains)
+    if lens[0] < 2:
+        return OtherShape("endpoints-adjacent-structure")
+    return BookShape(lens[0], len(adj[a]) - 1)

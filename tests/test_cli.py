@@ -65,6 +65,58 @@ def test_decompose_json(bowtie_file, capsys):
     assert len(obj["blocks"]) == 2
 
 
+@pytest.fixture
+def labeled_file(tmp_path):
+    # triangle on 10 20 30, bridge 30-40, square on 40..70; no header, so
+    # parse_edge_list remaps the labels to dense ids 0..6
+    f = tmp_path / "labeled.edges"
+    f.write_text("10 20\n20 30\n10 30\n30 40\n40 50\n50 60\n60 70\n40 70\n")
+    return str(f)
+
+
+def test_check_witness_text_uses_input_labels(labeled_file, capsys):
+    assert main(["check", labeled_file, "--witness"]) == 0
+    out = capsys.readouterr().out
+    assert "cycle of length 3: 10 20 30\n" in out
+    assert "cycle of length 4: 40 50 60 70\n" in out
+
+
+def test_check_witness_json_uses_input_labels(labeled_file, capsys):
+    assert main(["check", labeled_file, "--witness", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["witness"] == {"cycle_a": [10, 20, 30], "cycle_b": [40, 50, 60, 70],
+                              "lengths": [3, 4]}
+
+
+def test_decompose_text_uses_input_labels(labeled_file, capsys):
+    assert main(["decompose", labeled_file]) == 0
+    assert capsys.readouterr().out == (
+        "bridges: 30-40\n"
+        "cut vertices: 30, 40\n"
+        "block 0: vertices 10 20 30\n"
+        "block 1: vertices 40 50 60 70\n"
+    )
+
+
+def test_decompose_json_uses_input_labels(labeled_file, capsys):
+    assert main(["decompose", labeled_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "bridges": [[30, 40]],
+        "cut_vertices": [30, 40],
+        "blocks": [
+            {"vertices": [10, 20, 30], "edges": [[10, 20], [10, 30], [20, 30]]},
+            {"vertices": [40, 50, 60, 70],
+             "edges": [[40, 50], [40, 70], [50, 60], [60, 70]]},
+        ],
+    }
+
+
+def test_oracle_json_uses_input_labels(labeled_file, capsys):
+    assert main(["oracle", labeled_file, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["witnesses"] == {"3": [10, 20, 30], "4": [40, 50, 60, 70]}
+
+
 def test_oracle_json(bowtie_file, capsys):
     assert main(["oracle", bowtie_file, "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -88,11 +140,19 @@ def test_bound_json(capsys):
 
 def test_certify(capsys):
     assert main(["certify", "--n", "16", "--m", "29"]) == 0
-    assert "29 > 28" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "29 > 28" in out
+    assert "premises: simple graph, connected" in out
+    assert main(["certify", "--n", "16", "--m", "22", "--r", "6"]) == 0
+    assert "22 > 21 (premises: simple graph, connected, has a cycle of length 6)" in (
+        capsys.readouterr().out)
     assert main(["certify", "--n", "16", "--m", "22", "--r", "6", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["verdict"] == "must_contain_distinct_lengths"
     assert obj["cited_bound"] == 21
+    assert obj["premises"] == ["simple graph", "connected", "has a cycle of length 6"]
+    assert main(["certify", "--n", "16", "--m", "29", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["premises"] == ["simple graph", "connected"]
 
 
 def test_gen_book(capsys):

@@ -2,11 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from equicycle import (
     BookParams,
     WedgeSpec,
-    blockwise_spectrum_check,
     book,
     bridges,
     build,
@@ -18,7 +18,8 @@ from equicycle import (
     wedge,
 )
 
-from brute import edge_on_some_cycle, random_connected_edges
+from brute import blockwise_spectrum_check, edge_on_some_cycle, random_connected_edges
+from structured import structured_graphs
 
 
 def paper_display_graph():
@@ -97,6 +98,12 @@ def test_blocks_ordered_by_least_vertex():
 
 
 def _check_invariants(g, d):
+    for b in d.cycle_blocks:
+        assert b.vertices == tuple(sorted({x for e in b.edges for x in e}))
+        assert b.edges == tuple(sorted(set(b.edges)))
+        assert all(u < v for u, v in b.edges)
+    assert d.bridges == tuple(sorted(set(d.bridges)))
+    assert all(u < v for u, v in d.bridges)
     block_edges = [e for b in d.cycle_blocks for e in b.edges]
     assert len(block_edges) == len(set(block_edges))
     assert set(block_edges) | set(d.bridges) == set(g.edges)
@@ -114,6 +121,12 @@ def test_edge_partition_and_block_intersections():
         n = rng.randint(2, 14)
         g = build(n, random_connected_edges(rng, n, rng.randint(0, 8)))
         _check_invariants(g, decompose(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_graphs())
+def test_blocks_and_bridges_partition_edges_of_structured_graphs(g):
+    _check_invariants(g, decompose(g))
 
 
 def test_cut_vertex_definition():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from equicycle import (
     Acyclic,
@@ -27,9 +28,11 @@ from equicycle import (
     subdivide,
     wedge,
 )
+from equicycle import recognition
 from equicycle.decomposition import Block
 
-from brute import graph_cycle_lengths, is_simple_cycle
+from brute import graph_cycle_lengths, is_simple_cycle, reference_classify
+from structured import structured_graphs
 
 
 def single_block(g):
@@ -64,6 +67,16 @@ def test_classify_unequal_paths_other():
     # theta graph with path lengths 2, 2, 3
     g = build(6, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
     assert classify_block(single_block(g)) == OtherShape("unequal-path-lengths")
+
+
+@settings(max_examples=400, deadline=None)
+@given(structured_graphs())
+def test_classify_matches_reference(g):
+    for block in decompose(g).cycle_blocks:
+        expected = reference_classify(block)
+        for shape in (recognition._classify(block), classify_block(block)):
+            assert shape == expected and repr(shape) == repr(expected)
+            assert getattr(shape, "chains", None) == getattr(expected, "chains", None)
 
 
 def test_classify_rejects_non_block():
