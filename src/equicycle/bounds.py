@@ -2,8 +2,8 @@
 length, the extremal constructions achieving them, and arithmetic
 certificates that a graph must contain two distinct cycle lengths.
 
-The bounds apply to simple, connected, planar graphs; with a target
-cycle length r given they additionally presume some cycle of length r
+The bounds apply to simple, connected graphs; with a target cycle
+length r given they additionally presume some cycle of length r
 exists.  certify_distinct is pure arithmetic over (n, m, r);
 certify_graph keeps those premises honest for a concrete graph.
 """

@@ -1,31 +1,59 @@
 """Command-line front end.
 
 One verb per subsystem: check, decompose, oracle, bound, certify, gen.
-Output is stable across runs; --json emits a single compact object on
-stdout.  Exit codes: 0 success, 1 domain rejection (failed --expect),
-2 usage or input errors.
+Each verb except gen builds one dict: --json emits it as a single
+compact object on stdout, and text mode formats its lines from it.
+Output is stable across runs.  Exit codes: 0 success, 1 domain
+rejection (failed --expect), 2 usage or input errors.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from .decomposition import decompose
-from .errors import GraphError
+from .errors import GraphError, ParseError
 from .generators import BookParams, WedgeSpec, book, complete, complete_bipartite, cycle, path, wedge
 from .graph import parse_edge_list, serialize_edge_list
 from .oracle import SearchBudget, cycle_spectrum
-from .recognition import Acyclic, AllCyclesEqual, BookShape, CycleShape, decide
+from .recognition import Acyclic, AllCyclesEqual, BookShape, CycleShape, DistinctLengths, decide
+
+_STATUS = {
+    Acyclic: "acyclic", AllCyclesEqual: "all_cycles_equal", DistinctLengths: "distinct_lengths"}
+_EXPECT = {"equal": "all_cycles_equal", "distinct": "distinct_lengths"}
+_SHAPE_TEXT = {"cycle": "cycle({r})", "book": "book(k={k}, p={p})", "other": "other({reason})"}
+
+# gen family -> (its integer options, constructor taking them in order)
+_GEN = {
+    "cycle": (("m",), cycle),
+    "path": (("m",), path),
+    "complete": (("m",), complete),
+    "bipartite": (("a", "b"), complete_bipartite),
+    "book": (("n", "l", "p"), lambda n, l, p: book(BookParams(n, l, p))),
+    "extremal": (("n", "r"), bounds_mod.extremal),
+}
 
 
-def _emit_json(obj):
-    print(json.dumps(obj, separators=(",", ":")))
+def _emit(args, obj, lines):
+    """Print a verb's output model obj as JSON, or as lines(obj)."""
+    if args.json:
+        print(json.dumps(obj, separators=(",", ":")))
+    else:
+        for line in lines(obj):
+            print(line)
 
 
 def _load_graph(filename):
-    with open(filename, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    with open(filename, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    del data  # parsing allocates most; the raw bytes need not stay alive for it
+    return parse_edge_list(text)
 
 
 def _named(g, ids):
@@ -33,7 +61,7 @@ def _named(g, ids):
     return list(ids) if g.labels is None else [g.labels[v] for v in ids]
 
 
-def _shape_json(shape):
+def _shape(shape):
     if isinstance(shape, CycleShape):
         return {"shape": "cycle", "r": shape.r}
     if isinstance(shape, BookShape):
@@ -45,108 +73,80 @@ def _cmd_check(args):
     g = _load_graph(args.file)
     budget = SearchBudget(max_vertices=args.max_vertices)
     decision = decide(g, budget=budget, witnesses=args.witness)
-    if isinstance(decision, Acyclic):
-        status = "acyclic"
-    elif isinstance(decision, AllCyclesEqual):
-        status = "all_cycles_equal"
+    status = _STATUS[type(decision)]
+    obj = {"status": status}
+    if status == "all_cycles_equal":
+        obj["r"] = decision.r
+    if status != "acyclic":
+        obj["blocks"] = [_shape(s) for s in decision.shapes]
+    if status == "distinct_lengths" and decision.witness_a is not None:
+        obj["witness"] = {
+            "cycle_a": _named(g, decision.witness_a),
+            "cycle_b": _named(g, decision.witness_b),
+            "lengths": [len(decision.witness_a), len(decision.witness_b)],
+        }
+    if decision.notes:
+        obj["notes"] = list(decision.notes)
+    _emit(args, obj, _check_lines)
+    return int(_EXPECT.get(args.expect, status) != status)
+
+
+def _check_lines(obj):
+    if obj["status"] == "acyclic":
+        yield "acyclic: no cycles"
     else:
-        status = "distinct_lengths"
-
-    if args.json:
-        obj = {"status": status}
-        if status == "all_cycles_equal":
-            obj["r"] = decision.r
-        if status != "acyclic":
-            obj["blocks"] = [_shape_json(s) for s in decision.shapes]
-        if status == "distinct_lengths" and decision.witness_a is not None:
-            obj["witness"] = {
-                "cycle_a": _named(g, decision.witness_a),
-                "cycle_b": _named(g, decision.witness_b),
-                "lengths": [len(decision.witness_a), len(decision.witness_b)],
-            }
-        if decision.notes:
-            obj["notes"] = list(decision.notes)
-        _emit_json(obj)
-    else:
-        if status == "acyclic":
-            print("acyclic: no cycles")
-        elif status == "all_cycles_equal":
-            print(f"all cycles have length {decision.r}")
-            print("blocks: " + ", ".join(_shape_text(s) for s in decision.shapes))
-        else:
-            print("two distinct cycle lengths exist")
-            print("blocks: " + ", ".join(_shape_text(s) for s in decision.shapes))
-            if decision.witness_a is not None:
-                for cyc in (decision.witness_a, decision.witness_b):
-                    print(f"cycle of length {len(cyc)}: " + " ".join(map(str, _named(g, cyc))))
-        for note in decision.notes:
-            print(f"note: {note}")
-
-    if args.expect == "equal" and status != "all_cycles_equal":
-        return 1
-    if args.expect == "distinct" and status != "distinct_lengths":
-        return 1
-    return 0
-
-
-def _shape_text(shape):
-    if isinstance(shape, CycleShape):
-        return f"cycle({shape.r})"
-    if isinstance(shape, BookShape):
-        return f"book(k={shape.k}, p={shape.p})"
-    return f"other({shape.reason})"
+        yield (f"all cycles have length {obj['r']}" if obj["status"] == "all_cycles_equal"
+               else "two distinct cycle lengths exist")
+        yield "blocks: " + ", ".join(_SHAPE_TEXT[s["shape"]].format(**s) for s in obj["blocks"])
+    if "witness" in obj:
+        for cyc in (obj["witness"]["cycle_a"], obj["witness"]["cycle_b"]):
+            yield f"cycle of length {len(cyc)}: " + " ".join(map(str, cyc))
+    for note in obj.get("notes", ()):
+        yield f"note: {note}"
 
 
 def _cmd_decompose(args):
     g = _load_graph(args.file)
     d = decompose(g)
-    bridges = [_named(g, e) for e in d.bridges]
-    cut_vertices = _named(g, d.cut_vertices)
-    if args.json:
-        _emit_json(
-            {
-                "bridges": bridges,
-                "cut_vertices": cut_vertices,
-                "blocks": [
-                    {
-                        "vertices": _named(g, b.vertices),
-                        "edges": [_named(g, e) for e in b.edges],
-                    }
-                    for b in d.cycle_blocks
-                ],
-            }
-        )
-    else:
-        print("bridges: " + (", ".join(f"{u}-{v}" for u, v in bridges) or "none"))
-        print("cut vertices: " + (", ".join(map(str, cut_vertices)) or "none"))
-        for i, b in enumerate(d.cycle_blocks):
-            print(f"block {i}: vertices {' '.join(map(str, _named(g, b.vertices)))}")
+    obj = {
+        "bridges": [_named(g, e) for e in d.bridges],
+        "cut_vertices": _named(g, d.cut_vertices),
+        "blocks": [
+            {"vertices": _named(g, b.vertices), "edges": [_named(g, e) for e in b.edges]}
+            for b in d.cycle_blocks
+        ],
+    }
+    _emit(args, obj, _decompose_lines)
     return 0
+
+
+def _decompose_lines(obj):
+    yield "bridges: " + (", ".join(f"{u}-{v}" for u, v in obj["bridges"]) or "none")
+    yield "cut vertices: " + (", ".join(map(str, obj["cut_vertices"])) or "none")
+    for i, b in enumerate(obj["blocks"]):
+        yield f"block {i}: vertices {' '.join(map(str, b['vertices']))}"
 
 
 def _cmd_oracle(args):
     g = _load_graph(args.file)
-    budget = SearchBudget(max_vertices=args.max_vertices)
-    report = cycle_spectrum(g, budget)
-    if args.json:
-        _emit_json(
-            {
-                "girth": report.girth,
-                "circumference": report.circumference,
-                "lengths": list(report.lengths),
-                "witnesses": {
-                    str(k): _named(g, report.witnesses[k]) for k in report.lengths
-                },
-            }
-        )
-    else:
-        if report.is_acyclic:
-            print("acyclic: no cycles")
-        else:
-            print(f"girth: {report.girth}")
-            print(f"circumference: {report.circumference}")
-            print("lengths: " + " ".join(map(str, report.lengths)))
+    report = cycle_spectrum(g, SearchBudget(max_vertices=args.max_vertices))
+    obj = {
+        "girth": report.girth,
+        "circumference": report.circumference,
+        "lengths": list(report.lengths),
+        "witnesses": {str(k): _named(g, report.witnesses[k]) for k in report.lengths},
+    }
+    _emit(args, obj, _oracle_lines)
     return 0
+
+
+def _oracle_lines(obj):
+    if not obj["lengths"]:
+        yield "acyclic: no cycles"
+        return
+    yield f"girth: {obj['girth']}"
+    yield f"circumference: {obj['circumference']}"
+    yield "lengths: " + " ".join(map(str, obj["lengths"]))
 
 
 def _cmd_bound(args):
@@ -154,59 +154,37 @@ def _cmd_bound(args):
         rep = bounds_mod.max_edges_any_r(args.n)
     else:
         rep = bounds_mod.max_edges(args.n, args.r)
-    if args.json:
-        obj = {"n": rep.n, "r": rep.r, "bound": rep.bound}
-        obj["extremal"] = (
-            None if rep.r is None else {"p": rep.p, "c": rep.c}
-        )
-        _emit_json(obj)
-    elif rep.r is None:
-        print(f"2n-4 bound: {rep.bound}")
-    else:
-        print(f"bound for r={rep.r}: {rep.bound} (p={rep.p}, c={rep.c})")
+    extremal = None if rep.r is None else {"p": rep.p, "c": rep.c}
+    _emit(args, {"n": rep.n, "r": rep.r, "bound": rep.bound, "extremal": extremal}, _bound_lines)
     return 0
+
+
+def _bound_lines(obj):
+    if obj["r"] is None:
+        yield f"2n-4 bound: {obj['bound']}"
+    else:
+        yield "bound for r={r}: {bound} (p={p}, c={c})".format(**obj, **obj["extremal"])
 
 
 def _cmd_certify(args):
-    cert = bounds_mod.certify_distinct(args.n, args.m, args.r)
-    if args.json:
-        _emit_json(
-            {
-                "n": cert.n,
-                "m": cert.m,
-                "r": cert.r,
-                "verdict": cert.verdict,
-                "cited_bound": cert.cited_bound,
-                "rule": cert.rule,
-                "premises": list(cert.premises),
-            }
-        )
-    elif cert.verdict == "must_contain_distinct_lengths":
-        print(
-            f"must contain two cycles of different lengths: "
-            f"{cert.m} > {cert.cited_bound} (premises: {', '.join(cert.premises)})"
-        )
-    else:
-        print(f"inconclusive: {cert.m} <= {cert.cited_bound}")
+    _emit(args, asdict(bounds_mod.certify_distinct(args.n, args.m, args.r)), _certify_lines)
     return 0
 
 
+def _certify_lines(obj):
+    if obj["verdict"] == "must_contain_distinct_lengths":
+        yield (f"must contain two cycles of different lengths: {obj['m']} > {obj['cited_bound']}"
+               f" (premises: {', '.join(obj['premises'])})")
+    else:
+        yield f"inconclusive: {obj['m']} <= {obj['cited_bound']}"
+
+
 def _cmd_gen(args):
-    if args.family == "cycle":
-        g = cycle(args.m)
-    elif args.family == "path":
-        g = path(args.m)
-    elif args.family == "complete":
-        g = complete(args.m)
-    elif args.family == "bipartite":
-        g = complete_bipartite(args.a, args.b)
-    elif args.family == "book":
-        g = book(BookParams(args.n, args.l, args.p))
-    elif args.family == "extremal":
-        g = bounds_mod.extremal(args.n, args.r)
-    else:  # wedge
-        summands = tuple(_load_graph(f) for f in args.files)
-        g = wedge(WedgeSpec(summands))
+    if args.family == "wedge":
+        g = wedge(WedgeSpec(tuple(_load_graph(f) for f in args.files)))
+    else:
+        names, make = _GEN[args.family]
+        g = make(*(getattr(args, name) for name in names))
     text = serialize_edge_list(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -265,49 +243,24 @@ def _build_parser():
 
     p = sub.add_parser("gen", help="generate a named graph as an edge list")
     gsub = p.add_subparsers(dest="family", required=True)
-    gen_parsers = []
-
-    q = gsub.add_parser("cycle")
-    q.add_argument("--m", type=int, required=True)
-    gen_parsers.append(q)
-    q = gsub.add_parser("path")
-    q.add_argument("--m", type=int, required=True)
-    gen_parsers.append(q)
-    q = gsub.add_parser("complete")
-    q.add_argument("--m", type=int, required=True)
-    gen_parsers.append(q)
-    q = gsub.add_parser("bipartite")
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    gen_parsers.append(q)
-    q = gsub.add_parser("book")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--l", type=int, required=True)
-    q.add_argument("--p", type=int, required=True)
-    gen_parsers.append(q)
-    q = gsub.add_parser("extremal")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
-    gen_parsers.append(q)
+    for family, (names, _) in _GEN.items():
+        q = gsub.add_parser(family)
+        for name in names:
+            q.add_argument(f"--{name}", type=int, required=True)
+        q.add_argument("-o", "--output")
     q = gsub.add_parser("wedge")
     q.add_argument("files", nargs="+")
-    gen_parsers.append(q)
-    for q in gen_parsers:
-        q.add_argument("-o", "--output")
-        q.set_defaults(func=_cmd_gen)
+    q.add_argument("-o", "--output")
+    p.set_defaults(func=_cmd_gen)
 
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ from .errors import (
     DuplicateEdgeError,
     ParseError,
     SelfLoopError,
+    TooSmallError,
     UnknownEdgeError,
 )
 
@@ -118,8 +119,11 @@ def is_connected(g):
 def subdivide(g, e, t):
     """Replace edge e by a path of t+1 edges through t fresh vertices.
 
-    t = 0 returns g unchanged.  Fresh vertices get ids n..n+t-1.
+    t = 0 returns g unchanged; t < 0 raises TooSmallError.  Fresh
+    vertices get ids n..n+t-1.
     """
+    if t < 0:
+        raise TooSmallError(f"negative subdivision count {t}")
     u, v = e
     key = (u, v) if u < v else (v, u)
     if key not in set(g.edges):

@@ -96,9 +96,7 @@ def _hub_chains(block, adj, a, b):
     return chains
 
 
-def _classify(block, check=False):
-    if check:
-        _require_block(block, block.adjacency())
+def _classify(block):
     m = len(block.vertices)
     # a block is 2-connected, so every degree is at least 2: as many edges
     # as vertices leaves every degree at exactly 2, a single cycle
@@ -130,38 +128,16 @@ def _classify(block, check=False):
     return BookShape(k, len(adj[a]) - 1)
 
 
-def _require_block(block, adj):
-    """Defensive 2-connectivity check for externally supplied blocks."""
-    if len(block.vertices) < 3:
-        raise NotABlockError("cycle blocks have at least 3 vertices")
-    if any(len(adj[v]) < 2 for v in block.vertices):
-        raise NotABlockError("vertex of degree < 2 in block")
-    # connectivity + no cut vertex, checked by vertex deletion; blocks
-    # are small enough that the quadratic cost does not matter here
-    verts = block.vertices
-    for skip in (None, *verts):
-        remaining = [v for v in verts if v != skip]
-        seen = {remaining[0]}
-        stack = [remaining[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y != skip and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(remaining):
-            raise NotABlockError(
-                "block is disconnected" if skip is None
-                else f"block has cut vertex {skip}"
-            )
-
-
 def classify_block(block):
     """Classify one cycle block as CycleShape, BookShape or OtherShape.
 
-    Raises NotABlockError when the argument is not 2-connected.
+    Raises NotABlockError when the argument is not one 2-connected
+    block: one component, with no bridge and one cycle block.
     """
-    return _classify(block, check=True)
+    d = decompose(block.to_graph()[0])
+    if d.component_count != 1 or d.bridges or len(d.cycle_blocks) != 1:
+        raise NotABlockError("not a 2-connected block of at least 3 vertices")
+    return _classify(block)
 
 
 def _cycle_witness(block):
@@ -215,16 +191,17 @@ def _oracle_witness_pair(block, budget):
     )
 
 
-def _shape_cycle(block, shape):
-    if isinstance(shape, CycleShape):
-        return _cycle_witness(block)
-    if isinstance(shape, BookShape):
-        return _book_witness(block)
-    return None
+def _common_r(shapes):
+    """The cycle length r that every shape has, or None."""
+    rs = {s.r for s in shapes}
+    return rs.pop() if len(rs) == 1 else None
 
 
 def _witness_pair(blocks, shapes, budget):
-    """Find two simple cycles of distinct lengths, or None."""
+    """Two simple cycles of distinct lengths, shorter first, or None.
+    Theta and oracle pairs come in that order (a theta pairs its shortest
+    and longest chain with a third; the oracle's lengths are sorted)."""
+    budget = budget or SearchBudget()
     budget.validate()
     # a single misshapen block always contains both lengths
     for block, shape in zip(blocks, shapes):
@@ -241,10 +218,12 @@ def _witness_pair(blocks, shapes, budget):
     by_r = {}
     for block, shape in zip(blocks, shapes):
         if shape.r is not None and shape.r not in by_r:
-            by_r[shape.r] = _shape_cycle(block, shape)
+            witness = _cycle_witness if isinstance(shape, CycleShape) else _book_witness
+            by_r[shape.r] = witness(block)
     if len(by_r) >= 2:
         rs = sorted(by_r)
-        return by_r[rs[0]], by_r[rs[-1]]
+        # by length, not by r: a shape made by hand may state a wrong r
+        return tuple(sorted((by_r[rs[0]], by_r[rs[-1]]), key=len))
     return None
 
 
@@ -267,17 +246,13 @@ def decide(g, budget=None, witnesses=False, decomposition=None):
     if not blocks:
         return Acyclic(notes)
     shapes = tuple(_classify(b) for b in blocks)
-    rs = {s.r for s in shapes}
-    if None not in rs and len(rs) == 1:
-        return AllCyclesEqual(rs.pop(), shapes, notes)
-    if witnesses:
-        pair = _witness_pair(blocks, shapes, budget or SearchBudget())
-        if pair is not None:
-            a, b = pair
-            if len(a) > len(b):
-                a, b = b, a
-            return DistinctLengths(a, b, "exact", shapes, notes)
-    return DistinctLengths(None, None, "decision-only", shapes, notes)
+    r = _common_r(shapes)
+    if r is not None:
+        return AllCyclesEqual(r, shapes, notes)
+    pair = _witness_pair(blocks, shapes, budget) if witnesses else None
+    if pair is None:
+        return DistinctLengths(None, None, "decision-only", shapes, notes)
+    return DistinctLengths(*pair, "exact", shapes, notes)
 
 
 def extract_witnesses(g, shapes=None, budget=None, decomposition=None):
@@ -290,13 +265,7 @@ def extract_witnesses(g, shapes=None, budget=None, decomposition=None):
     blocks = decomp.cycle_blocks
     if shapes is None:
         shapes = tuple(_classify(b) for b in blocks)
-    rs = {s.r for s in shapes}
-    if not blocks or (None not in rs and len(rs) == 1):
+    if not blocks or _common_r(shapes) is not None:
         raise NotRejectedError("graph does not contain two distinct cycle lengths")
-    pair = _witness_pair(blocks, shapes, budget or SearchBudget())
-    if pair is None:
-        return None, "decision-only"
-    a, b = pair
-    if len(a) > len(b):
-        a, b = b, a
-    return (a, b), "exact"
+    pair = _witness_pair(blocks, shapes, budget)
+    return pair, "decision-only" if pair is None else "exact"

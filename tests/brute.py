@@ -10,7 +10,14 @@ for the faster ones.
 
 import random
 
-from equicycle import BookShape, CycleShape, OtherShape, cycle_spectrum, decompose
+from equicycle import (
+    BookShape,
+    CycleShape,
+    NotABlockError,
+    OtherShape,
+    cycle_spectrum,
+    decompose,
+)
 
 
 def adjacency_masks(n, edges):
@@ -177,3 +184,31 @@ def reference_classify(block):
     if lens[0] < 2:
         return OtherShape("endpoints-adjacent-structure")
     return BookShape(lens[0], len(adj[a]) - 1)
+
+
+def reference_require_block(block):
+    """2-connectivity check by vertex deletion: raises NotABlockError
+    unless the block has at least 3 vertices, each of degree >= 2, and
+    stays connected after deleting any one vertex.  Quadratic; kept as
+    the reference for classify_block's check."""
+    adj = block.adjacency()
+    if len(block.vertices) < 3:
+        raise NotABlockError("cycle blocks have at least 3 vertices")
+    if any(len(adj[v]) < 2 for v in block.vertices):
+        raise NotABlockError("vertex of degree < 2 in block")
+    verts = block.vertices
+    for skip in (None, *verts):
+        remaining = [v for v in verts if v != skip]
+        seen = {remaining[0]}
+        stack = [remaining[0]]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y != skip and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != len(remaining):
+            raise NotABlockError(
+                "block is disconnected" if skip is None
+                else f"block has cut vertex {skip}"
+            )

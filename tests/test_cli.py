@@ -188,6 +188,15 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", [["check"], ["decompose"], ["oracle"], ["gen", "wedge"]])
+def test_non_utf8_input_exit_2(tmp_path, capsys, verb):
+    f = tmp_path / "latin1.edges"
+    f.write_bytes(b"0 1\n\xff 2\n")
+    assert main([*verb, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: not UTF-8 text\n" and captured.out == ""
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["check", "/nonexistent/g.edges"]) == 2
 

@@ -7,6 +7,7 @@ from equicycle import (
     DuplicateEdgeError,
     ParseError,
     SelfLoopError,
+    TooSmallError,
     UnknownEdgeError,
     book,
     build,
@@ -85,6 +86,12 @@ def test_subdivide_zero_is_identity():
 def test_subdivide_unknown_edge():
     with pytest.raises(UnknownEdgeError):
         subdivide(cycle(4), (0, 2), 1)
+
+
+def test_subdivide_negative_count():
+    for g in (build(3, [(0, 1)]), cycle(4)):
+        with pytest.raises(TooSmallError):
+            subdivide(g, (0, 1), -1)
 
 
 def test_subdivide_k5_uniformly():

@@ -31,7 +31,12 @@ from equicycle import (
 from equicycle import recognition
 from equicycle.decomposition import Block
 
-from brute import graph_cycle_lengths, is_simple_cycle, reference_classify
+from brute import (
+    graph_cycle_lengths,
+    is_simple_cycle,
+    reference_classify,
+    reference_require_block,
+)
 from structured import structured_graphs
 
 
@@ -80,12 +85,62 @@ def test_classify_matches_reference(g):
 
 
 def test_classify_rejects_non_block():
-    with pytest.raises(NotABlockError):
-        classify_block(Block((0, 1), ((0, 1),)))
     bowtie = wedge(WedgeSpec((cycle(3), cycle(3))))
-    fake = Block(tuple(range(5)), bowtie.edges)
-    with pytest.raises(NotABlockError):
-        classify_block(fake)
+    for block in (
+        Block((0, 1), ((0, 1),)),  # K2
+        Block((0,), ()),
+        Block((0, 1, 2), ((0, 1), (1, 2))),  # a path
+        Block((0, 1, 2, 3), ((0, 1), (0, 2), (1, 2))),  # a triangle and an isolated vertex
+        Block(tuple(range(5)), bowtie.edges),  # two triangles sharing a vertex
+    ):
+        assert refuses(reference_require_block, block)
+        with pytest.raises(NotABlockError):
+            classify_block(block)
+
+
+def non_blocks_around(g, block):
+    """The block itself, then edge sets that are not one block: the
+    whole graph's edges, the block plus a pendant edge, two disjoint
+    copies of the block, and two copies glued at a vertex."""
+    n = g.vertex_count
+    copy = tuple((u + n, v + n) for u, v in block.edges)
+    glued = tuple(tuple(block.vertices[0] if x == block.vertices[0] + n else x for x in e)
+                  for e in copy)
+    yield block.edges
+    yield g.edges
+    yield block.edges + ((block.vertices[0], n),)
+    yield block.edges + copy
+    yield block.edges + glued
+
+
+def refuses(check, block):
+    try:
+        check(block)
+    except NotABlockError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(structured_graphs())
+def test_block_check_matches_vertex_deletion_reference(g):
+    for block in decompose(g).cycle_blocks:
+        for edges in non_blocks_around(g, block):
+            vertices = tuple(sorted({x for e in edges for x in e}))
+            candidate = Block(vertices, tuple(sorted(edges)))
+            assert refuses(classify_block, candidate) == refuses(reference_require_block, candidate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(structured_graphs())
+def test_decide_witnesses_match_extract_witnesses(g):
+    d = decide(g, witnesses=True)
+    if not isinstance(d, DistinctLengths):
+        return
+    pair, status = extract_witnesses(g)
+    assert (d.witness_a, d.witness_b, d.witness_status) == (*(pair or (None, None)), status)
+    if pair is not None:
+        assert len(d.witness_a) < len(d.witness_b)
 
 
 def test_decide_odd_wedge():
@@ -230,6 +285,13 @@ def test_theta_witnesses_from_hand_made_shape():
     d = decompose(g)
     shapes = (OtherShape("endpoints-adjacent-structure"),)
     assert extract_witnesses(g, shapes, decomposition=d) == extract_witnesses(g)
+
+
+def test_witnesses_shorter_first_when_hand_made_shapes_misstate_r():
+    g = wedge(WedgeSpec((cycle(3), cycle(4))))
+    shapes = (CycleShape(5), CycleShape(4))  # the triangle's block claims r = 5
+    pair, status = extract_witnesses(g, shapes)
+    assert status == "exact" and [len(c) for c in pair] == [3, 4]
 
 
 def test_other_shape_chains_stay_out_of_eq_and_repr():
