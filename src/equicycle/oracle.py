@@ -1,13 +1,15 @@
 """Ground-truth cycle analysis by exhaustive search.
 
 girth() is polynomial (per-root BFS) and exempt from the budget;
-cycle_spectrum() and circumference() enumerate all simple cycles and
-are guarded by a SearchBudget.  These are the independent verifiers
-for the structural decision procedure.
+cycle_spectrum() and circumference() enumerate all simple cycles, and
+extreme_cycles() searches for a shortest and a longest one; all three
+are guarded by a SearchBudget.  cycle_spectrum() is the independent
+verifier for the structural decision procedure.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 
 from .errors import BudgetExceededError, OverBudgetError
 
@@ -69,6 +71,45 @@ def girth(g):
     return best
 
 
+def _cycles(adj, root, cap, tick, max_states):
+    """Yield each simple cycle with least vertex root and at most cap
+    vertices, once, oriented toward root's smaller neighbour on it: in
+    lexicographic order if neighbour tuples are sorted.  Each path
+    extension draws from the shared counter tick; the draw past
+    max_states raises BudgetExceededError."""
+    path = [root]
+    on_path = {root}
+    stack = [iter(adj[root])]
+    while stack:
+        for y in stack[-1]:
+            if y == root:
+                if len(path) >= 3 and path[1] < path[-1]:
+                    yield tuple(path)
+                continue
+            if y < root or y in on_path or len(path) >= cap:
+                continue
+            states = next(tick)
+            if states > max_states:
+                raise BudgetExceededError(states)
+            path.append(y)
+            on_path.add(y)
+            stack.append(iter(adj[y]))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+
+
+def _state_limit(g, budget):
+    """The state limit of budget (the default if None), checked against g."""
+    if budget is None:
+        budget = SearchBudget()
+    budget.validate()
+    if g.vertex_count > budget.max_vertices:
+        raise OverBudgetError(g.vertex_count, budget.max_vertices)
+    return budget.max_visited_states
+
+
 def cycle_spectrum(g, budget=None):
     """Enumerate every simple cycle length with one canonical witness.
 
@@ -77,46 +118,15 @@ def cycle_spectrum(g, budget=None):
     cycle; the retained witness per length is the lexicographically
     least one.  Deterministic.
     """
-    if budget is None:
-        budget = SearchBudget()
-    budget.validate()
+    max_states = _state_limit(g, budget)
     n = g.vertex_count
-    if n > budget.max_vertices:
-        raise OverBudgetError(n, budget.max_vertices)
-    adj = g.adjacency
-    max_states = budget.max_visited_states
-    states = 0
+    tick = count(1)
     witnesses = {}
-
     for root in range(n):
-        # DFS over simple paths from root using only vertices > root
-        path = [root]
-        on_path = {root}
-        stack = [iter(adj[root])]
-        while stack:
-            it = stack[-1]
-            advanced = False
-            for y in it:
-                if y == root:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        w = tuple(path)
-                        k = len(w)
-                        if k not in witnesses or w < witnesses[k]:
-                            witnesses[k] = w
-                    continue
-                if y < root or y in on_path:
-                    continue
-                states += 1
-                if states > max_states:
-                    raise BudgetExceededError(states)
-                path.append(y)
-                on_path.add(y)
-                stack.append(iter(adj[y]))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-                on_path.discard(path.pop())
+        for w in _cycles(g.adjacency, root, n, tick, max_states):
+            k = len(w)
+            if k not in witnesses or w < witnesses[k]:
+                witnesses[k] = w
 
     lengths = tuple(sorted(witnesses))
     return CycleReport(
@@ -125,6 +135,33 @@ def cycle_spectrum(g, budget=None):
         lengths=lengths,
         witnesses=witnesses,
     )
+
+
+def extreme_cycles(g, budget=None):
+    """cycle_spectrum's girth and circumference witnesses, or None for a
+    forest, found without listing every cycle.
+
+    Premise: g's neighbour tuples are sorted (build and Block.to_graph
+    ensure it), so the first cycle of a length the DFS meets is the
+    spectrum's witness for it.  max_visited_states counts the states of
+    both searches together.
+    """
+    max_states = _state_limit(g, budget)
+    shortest = girth(g)
+    if shortest is None:
+        return None
+    n, adj, tick = g.vertex_count, g.adjacency, count(1)
+    lo = next(c for root in range(n) for c in _cycles(adj, root, shortest, tick, max_states))
+    hi = lo
+    for root in range(n):
+        if n - root <= len(hi):
+            break  # a cycle rooted at root has at most n - root vertices
+        for c in _cycles(adj, root, n, tick, max_states):
+            if len(c) > len(hi):
+                hi = c
+                if len(hi) == n - root:
+                    break
+    return lo, hi
 
 
 def circumference(g, budget=None):

@@ -5,8 +5,8 @@ generalized book B(r/2, r, p): p+1 internally disjoint paths of equal
 length r/2 between two hub vertices.  Any other block shape, or two
 blocks implying different r, forces two distinct cycle lengths.  The
 decision itself is polynomial; explicit witness cycles are produced on
-request, falling back to the exhaustive oracle only for blocks it can
-afford.
+request, from the hub-to-hub chains of a two-hub block, and otherwise by
+a budgeted search for the block's shortest and longest cycle.
 """
 
 from collections import Counter
@@ -15,7 +15,7 @@ from itertools import chain
 
 from .decomposition import decompose
 from .errors import BudgetExceededError, NotABlockError, NotRejectedError
-from .oracle import SearchBudget, cycle_spectrum
+from .oracle import SearchBudget, extreme_cycles
 
 
 @dataclass(frozen=True)
@@ -178,17 +178,12 @@ def _oracle_witness_pair(block, budget):
         return None
     sub, mapping = block.to_graph()
     try:
-        report = cycle_spectrum(sub, budget)
+        pair = extreme_cycles(sub, budget)
     except BudgetExceededError:
         return None
-    if len(report.lengths) < 2:
+    if pair is None or len(pair[0]) == len(pair[1]):
         return None
-    lo = report.witnesses[report.lengths[0]]
-    hi = report.witnesses[report.lengths[-1]]
-    return (
-        tuple(mapping[v] for v in lo),
-        tuple(mapping[v] for v in hi),
-    )
+    return tuple(tuple(mapping[v] for v in c) for c in pair)
 
 
 def _common_r(shapes):
@@ -200,7 +195,8 @@ def _common_r(shapes):
 def _witness_pair(blocks, shapes, budget):
     """Two simple cycles of distinct lengths, shorter first, or None.
     Theta and oracle pairs come in that order (a theta pairs its shortest
-    and longest chain with a third; the oracle's lengths are sorted)."""
+    and longest chain with a third; the oracle gives a shortest and a
+    longest cycle)."""
     budget = budget or SearchBudget()
     budget.validate()
     # a single misshapen block always contains both lengths
@@ -210,6 +206,8 @@ def _witness_pair(blocks, shapes, budget):
         if shape.chains is None and shape.reason in (
                 "endpoints-adjacent-structure", "unequal-path-lengths"):
             shape = _classify(block)  # a shape made by hand carries no chains
+            if not isinstance(shape, OtherShape):
+                continue  # the block is well-shaped after all
         pair = (_theta_witness_pair(shape.chains) if shape.chains is not None
                 else _oracle_witness_pair(block, budget))
         if pair is not None:
@@ -220,10 +218,10 @@ def _witness_pair(blocks, shapes, budget):
         if shape.r is not None and shape.r not in by_r:
             witness = _cycle_witness if isinstance(shape, CycleShape) else _book_witness
             by_r[shape.r] = witness(block)
-    if len(by_r) >= 2:
-        rs = sorted(by_r)
-        # by length, not by r: a shape made by hand may state a wrong r
-        return tuple(sorted((by_r[rs[0]], by_r[rs[-1]]), key=len))
+    # by length, not by r: a shape made by hand may state a wrong r
+    by_len = {len(c): c for c in by_r.values()}
+    if len(by_len) >= 2:
+        return by_len[min(by_len)], by_len[max(by_len)]
     return None
 
 
@@ -234,9 +232,10 @@ def decide(g, budget=None, witnesses=False, decomposition=None):
     B(r/2, r, p) for one common r, Acyclic when there are no cycle
     blocks, and DistinctLengths otherwise.  The decision never
     enumerates cycles; pass witnesses=True to also extract a concrete
-    pair of unequal cycles on rejection.  The oracle fallback is
-    budgeted: a block over budget.max_vertices, or a tripped state guard,
-    gives status 'decision-only'; a budget field <= 0 raises ValueError.
+    pair of unequal cycles on rejection.  The fallback search for a
+    block's shortest and longest cycle is budgeted: a block over
+    budget.max_vertices, or a tripped state guard, gives status
+    'decision-only'; a budget field <= 0 raises ValueError.
     """
     decomp = decomposition if decomposition is not None else decompose(g)
     notes = ()

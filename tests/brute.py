@@ -12,9 +12,13 @@ import random
 
 from equicycle import (
     BookShape,
+    BudgetExceededError,
+    CycleReport,
     CycleShape,
     NotABlockError,
     OtherShape,
+    OverBudgetError,
+    SearchBudget,
     cycle_spectrum,
     decompose,
 )
@@ -136,6 +140,61 @@ def blockwise_spectrum_check(g, budget=None):
         sub, _ = block.to_graph()
         union.update(cycle_spectrum(sub, budget).lengths)
     return whole == union
+
+
+def reference_cycle_spectrum(g, budget=None):
+    """The library's earlier cycle_spectrum, one loop over all roots:
+    same report, witness order, budget checks and guard trip, kept as
+    the reference for the DFS that cycle_spectrum and extreme_cycles
+    now share."""
+    if budget is None:
+        budget = SearchBudget()
+    budget.validate()
+    n = g.vertex_count
+    if n > budget.max_vertices:
+        raise OverBudgetError(n, budget.max_vertices)
+    adj = g.adjacency
+    max_states = budget.max_visited_states
+    states = 0
+    witnesses = {}
+
+    for root in range(n):
+        # DFS over simple paths from root using only vertices > root
+        path = [root]
+        on_path = {root}
+        stack = [iter(adj[root])]
+        while stack:
+            it = stack[-1]
+            advanced = False
+            for y in it:
+                if y == root:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        w = tuple(path)
+                        k = len(w)
+                        if k not in witnesses or w < witnesses[k]:
+                            witnesses[k] = w
+                    continue
+                if y < root or y in on_path:
+                    continue
+                states += 1
+                if states > max_states:
+                    raise BudgetExceededError(states)
+                path.append(y)
+                on_path.add(y)
+                stack.append(iter(adj[y]))
+                advanced = True
+                break
+            if not advanced:
+                stack.pop()
+                on_path.discard(path.pop())
+
+    lengths = tuple(sorted(witnesses))
+    return CycleReport(
+        girth=lengths[0] if lengths else None,
+        circumference=lengths[-1] if lengths else None,
+        lengths=lengths,
+        witnesses=witnesses,
+    )
 
 
 def _reference_hub_chains(block, adj, a, b):

@@ -1,9 +1,12 @@
 import json
+import pathlib
 
 import pytest
 
 from equicycle import complete, parse_edge_list, serialize_edge_list, wedge, WedgeSpec, cycle
 from equicycle.cli import main
+
+PETERSEN = str(pathlib.Path(__file__).parent / "golden" / "petersen.edges")
 
 
 def write_graph(tmp_path, name, g):
@@ -223,17 +226,24 @@ def test_max_vertices_must_be_positive(bowtie_file, capsys, verb, value):
     assert "Traceback" not in err
 
 
-def test_check_witness_decision_only_when_state_guard_trips(tmp_path, capsys, monkeypatch):
+def test_check_witness_decision_only_when_state_guard_trips(capsys, monkeypatch):
     import functools
 
     import equicycle.cli as cli
 
     monkeypatch.setattr(cli, "SearchBudget",
-                        functools.partial(cli.SearchBudget, max_visited_states=1000))
-    f = write_graph(tmp_path, "k8.edges", complete(8))
-    assert main(["check", f, "--witness", "--json", "--expect", "distinct"]) == 0
+                        functools.partial(cli.SearchBudget, max_visited_states=100))
+    assert main(["check", PETERSEN, "--witness", "--json", "--expect", "distinct"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["status"] == "distinct_lengths" and "witness" not in obj
+
+
+def test_check_witness_exact_on_k14(tmp_path, capsys):
+    f = write_graph(tmp_path, "k14.edges", complete(14))
+    assert main(["check", f, "--witness", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["status"] == "distinct_lengths"
+    assert obj["witness"]["lengths"] == [3, 14]
 
 
 def test_byte_identical_runs(bowtie_file, capsys):

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from equicycle import (
     BookParams,
@@ -21,7 +24,27 @@ from equicycle import (
     wedge,
 )
 
-from brute import graph_cycle_lengths, is_simple_cycle, random_connected_edges
+from equicycle.oracle import extreme_cycles
+
+from brute import (
+    graph_cycle_lengths,
+    is_simple_cycle,
+    random_connected_edges,
+    reference_cycle_spectrum,
+)
+from structured import structured_graphs
+
+
+@st.composite
+def small_graphs(draw):
+    """Any graph on 1 to 9 vertices: each vertex pair is an edge or not."""
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build(n, [e for e, k in zip(pairs, keep) if k])
+
+
+any_graphs = st.one_of(structured_graphs(), small_graphs())
 
 
 def test_girth_examples():
@@ -128,3 +151,43 @@ def test_determinism():
     a = cycle_spectrum(g)
     b = cycle_spectrum(g)
     assert a == b
+
+
+def spectrum_outcome(spectrum, g, budget):
+    try:
+        report = spectrum(g, budget)
+    except BudgetExceededError as exc:
+        return "guard tripped", exc.states, str(exc)
+    return report, list(report.witnesses.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs, st.integers(1, 20_000))
+def test_spectrum_matches_reference(g, max_states):
+    # same report, witness order, and guard trip at the same state count
+    budget = SearchBudget(max_vertices=g.vertex_count, max_visited_states=max_states)
+    assert (spectrum_outcome(cycle_spectrum, g, budget)
+            == spectrum_outcome(reference_cycle_spectrum, g, budget))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs)
+def test_extreme_cycles_are_the_spectrum_witnesses(g):
+    budget = SearchBudget(max_vertices=g.vertex_count, max_visited_states=200_000)
+    try:
+        report = cycle_spectrum(g, budget)
+    except BudgetExceededError:
+        assume(False)
+    pair = extreme_cycles(g, SearchBudget(max_vertices=g.vertex_count))
+    if report.is_acyclic:
+        assert pair is None
+    else:
+        assert pair == (report.witnesses[report.lengths[0]],
+                        report.witnesses[report.lengths[-1]])
+
+
+def test_extreme_cycles_budget():
+    with pytest.raises(OverBudgetError):
+        extreme_cycles(cycle(15))
+    with pytest.raises(BudgetExceededError):
+        extreme_cycles(complete(9), SearchBudget(max_visited_states=5))

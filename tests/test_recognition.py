@@ -255,9 +255,27 @@ def test_witnesses_decision_only_over_budget():
     assert pair is None and status == "decision-only"
 
 
+def petersen():
+    return build(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
 def test_witnesses_decision_only_when_state_guard_trips():
-    pair, status = extract_witnesses(complete(8), budget=SearchBudget(max_visited_states=1000))
+    pair, status = extract_witnesses(petersen(), budget=SearchBudget(max_visited_states=100))
     assert pair is None and status == "decision-only"
+
+
+@pytest.mark.parametrize("g, budget", [
+    (complete(6), None),
+    (complete(8), SearchBudget(max_visited_states=1000)),
+    (complete(14), None),
+])
+def test_oracle_witnesses_exact_on_complete_graphs(g, budget):
+    pair, status = extract_witnesses(g, budget=budget)
+    assert status == "exact"
+    assert [len(c) for c in pair] == [3, g.vertex_count]
+    assert all(is_simple_cycle(g, c) for c in pair)
 
 
 def test_bad_budget_raises_on_witness_path():
@@ -272,7 +290,7 @@ def test_over_budget_block_is_never_copied(monkeypatch):
         raise AssertionError("over-budget block reached the oracle")
 
     monkeypatch.setattr(Block, "to_graph", refuse)
-    monkeypatch.setattr(recognition, "cycle_spectrum", refuse)
+    monkeypatch.setattr(recognition, "extreme_cycles", refuse)
     # Hamiltonian 20-cycle with two crossing chords: four hubs, no theta shape
     g = build(20, [(i, (i + 1) % 20) for i in range(20)] + [(0, 10), (5, 15)])
     d = decide(g, witnesses=True)
@@ -292,6 +310,18 @@ def test_witnesses_shorter_first_when_hand_made_shapes_misstate_r():
     shapes = (CycleShape(5), CycleShape(4))  # the triangle's block claims r = 5
     pair, status = extract_witnesses(g, shapes)
     assert status == "exact" and [len(c) for c in pair] == [3, 4]
+
+
+def test_hand_made_other_shape_of_cycle_blocks_is_not_read_for_chains():
+    g = wedge(WedgeSpec((cycle(3), cycle(4))))
+    shapes = (OtherShape("unequal-path-lengths"), CycleShape(4))
+    assert extract_witnesses(g, shapes) == (None, "decision-only")
+
+
+def test_cross_block_pair_keyed_by_cycle_length_not_stated_r():
+    g = wedge(WedgeSpec((cycle(3), cycle(3))))
+    shapes = (CycleShape(3), CycleShape(4))  # the second triangle claims r = 4
+    assert extract_witnesses(g, shapes) == (None, "decision-only")
 
 
 def test_other_shape_chains_stay_out_of_eq_and_repr():
