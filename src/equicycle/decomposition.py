@@ -6,6 +6,7 @@ isolated vertices.  Disconnected inputs are handled per component and
 the results concatenated.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
@@ -20,23 +21,33 @@ class Block:
     vertices: tuple
     edges: tuple
 
+    @classmethod
+    def of(cls, edges):
+        """The block of an edge slice in any order: sorted vertices and
+        sorted edges."""
+        return cls(tuple(sorted(set(chain.from_iterable(edges)))), tuple(sorted(edges)))
+
     def adjacency(self):
-        adj = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        """Vertex -> neighbour list, each list ascending."""
+        return edge_adjacency(self.edges)
 
     def to_graph(self):
         """Dense relabeling of the block; returns (graph, dense->parent
         id mapping)."""
         mapping = list(self.vertices)
         index = {v: i for i, v in enumerate(mapping)}
-        edges = []
-        for u, v in self.edges:
-            a, b = index[u], index[v]
-            edges.append((a, b) if a < b else (b, a))
-        return Graph(len(mapping), edges), mapping
+        return Graph(len(mapping), [(index[u], index[v]) for u, v in self.edges]), mapping
+
+
+def edge_adjacency(edges):
+    """Vertex -> neighbour list of sorted (u, v) pairs with u < v.  Each
+    list comes out ascending: a vertex meets its smaller neighbours in
+    pairs sorted before those that meet its larger ones."""
+    adj = defaultdict(list)
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 @dataclass(frozen=True)
@@ -113,9 +124,8 @@ def decompose(g):
     for comp in comps:
         if len(comp) == 1:
             bridges_.append(comp[0])
-            continue
-        comp.sort()
-        blocks.append(Block(tuple(sorted(set(chain.from_iterable(comp)))), tuple(comp)))
+        else:
+            blocks.append(Block.of(comp))
     blocks.sort(key=lambda b: b.vertices[0])
     return BlockDecomposition(
         bridges=tuple(sorted(bridges_)),

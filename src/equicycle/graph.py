@@ -1,11 +1,14 @@
 """Immutable simple undirected graphs with edge-list I/O.
 
-Vertices are dense integers 0..n-1.  Input files may use arbitrary
-non-negative labels; they are remapped on parse and the original labels
-are retained on the graph for reporting.
+Vertices are dense integers 0..n-1.  A graph is its per-vertex sorted
+neighbour tuples; the sorted edge tuple is derived from them on first
+use.  Input files may use arbitrary non-negative labels; they are
+remapped on parse and the original labels are retained on the graph for
+reporting.
 """
 
 from collections import deque
+from operator import eq
 
 from .errors import (
     BadVertexError,
@@ -20,41 +23,51 @@ from .errors import (
 class Graph:
     """Simple undirected graph.  Immutable after construction.
 
-    `edges` is a sorted tuple of (u, v) pairs with u < v; `adjacency`
-    is its symmetric closure as per-vertex sorted neighbor tuples.
-    `labels` maps dense vertex ids back to the original input labels
-    (None when the ids were used as-is).
+    `adjacency` holds each vertex's neighbours as a sorted tuple.
+    `edges` is the sorted tuple of (u, v) pairs with u < v, derived from
+    `adjacency` when first read.  `labels` maps dense vertex ids back to
+    the original input labels (None when the ids were used as-is).
+
+    The constructor takes distinct pairs of distinct vertices in
+    range(vertex_count), in any order and orientation, and does not
+    check them; `build` does.
     """
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "labels")
+    __slots__ = ("vertex_count", "adjacency", "labels", "_edges")
 
     def __init__(self, vertex_count, edges, labels=None):
-        # edges must already be normalized: (u, v) with u < v, no duplicates
-        self.vertex_count = vertex_count
-        self.edges = tuple(sorted(edges))
         adj = [[] for _ in range(vertex_count)]
-        for u, v in self.edges:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        # edges are sorted (u, v) pairs with u < v: each vertex meets its
-        # smaller neighbours, ascending, then its larger ones, so no sort
+        for nbrs in adj:
+            nbrs.sort()
+        self.vertex_count = vertex_count
         self.adjacency = tuple(map(tuple, adj))
         self.labels = tuple(labels) if labels is not None else None
+        self._edges = None
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            self._edges = tuple(
+                (u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
+        return self._edges
 
     @property
     def edge_count(self):
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertex_count == other.vertex_count and self.edges == other.edges
+        return self.vertex_count == other.vertex_count and self.adjacency == other.adjacency
 
     def __hash__(self):
-        return hash((self.vertex_count, self.edges))
+        return hash((self.vertex_count, self.adjacency))
 
     def __repr__(self):
-        return f"Graph({self.vertex_count}, {len(self.edges)} edges)"
+        return f"Graph({self.vertex_count}, {self.edge_count} edges)"
 
 
 def _normalize_pair(u, v, vertex_count):
@@ -145,7 +158,61 @@ def parse_edge_list(text):
     first significant line `vertices N` fixes the vertex count, in
     which case ids must be < N and are used directly.  Without the
     header, labels are collected and remapped to dense ids.
+
+    Text laid out as serialize_edge_list writes it is read in bulk.
+    Anything else, and any loop, duplicate or id >= N, goes through the
+    line-by-line reader, which reports the first bad line.
     """
+    g = _parse_bulk(text)
+    return g if g is not None else _parse_lines(text)
+
+
+def _is_ascii_int(token):
+    return token.isascii() and token.isdigit()
+
+
+def _parse_bulk(text):
+    """The graph of text made of an optional `vertices N` line and one
+    `u v` line per edge: single spaces, '\n' line ends, ASCII-digit ids,
+    no loop, duplicate or id >= N.  None for any other text."""
+    tokens = text.split()
+    # the text is its tokens, two to a line: no blank line, comment,
+    # other whitespace, or line of another length
+    if text.rstrip("\n") != "\n".join(map(" ".join, zip(tokens[0::2], tokens[1::2]))):
+        return None
+    header = None
+    if tokens[:1] == ["vertices"]:
+        header = tokens[1]
+        del tokens[:2]
+    if not tokens or not _is_ascii_int("".join(tokens) + (header or "")):
+        return None
+    try:
+        ids = list(map(int, tokens))
+        n = None if header is None else int(header)
+    except ValueError:  # beyond the interpreter's digit limit
+        return None
+    del tokens  # each stage is freed before the next allocates: peak memory
+    labels = None
+    if n is None:
+        labels = sorted(set(ids))
+        n = len(labels)
+        if labels[-1] == n - 1:
+            labels = None  # the ids are already 0..n-1
+        else:
+            ids = list(map({lab: i for i, lab in enumerate(labels)}.__getitem__, ids))
+    elif max(ids) >= n:
+        return None
+    us, vs = ids[0::2], ids[1::2]
+    if any(map(eq, us, vs)):
+        return None
+    g = Graph(n, zip(us, vs), labels)
+    # a duplicate edge puts one neighbour twice into a vertex's tuple
+    if sum(map(len, map(set, g.adjacency))) != len(ids):
+        return None
+    return g
+
+
+def _parse_lines(text):
     header = None
     pairs = []  # (line_no, u, v)
     first_significant = True

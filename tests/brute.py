@@ -15,9 +15,11 @@ from equicycle import (
     BudgetExceededError,
     CycleReport,
     CycleShape,
+    Graph,
     NotABlockError,
     OtherShape,
     OverBudgetError,
+    ParseError,
     SearchBudget,
     cycle_spectrum,
     decompose,
@@ -271,3 +273,65 @@ def reference_require_block(block):
                 "block is disconnected" if skip is None
                 else f"block has cut vertex {skip}"
             )
+
+
+def reference_parse_edge_list(text):
+    """The library's earlier parse_edge_list, one loop over the lines:
+    same graph, labels and first-error message, kept as the reference
+    for the bulk reader."""
+    header = None
+    pairs = []  # (line_no, u, v)
+    first_significant = True
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if first_significant and parts[0] == "vertices":
+            if len(parts) != 2:
+                raise ParseError(line_no, "malformed header, expected 'vertices <N>'")
+            try:
+                header = int(parts[1])
+            except ValueError:
+                raise ParseError(line_no, f"bad vertex count {parts[1]!r}") from None
+            if header < 0:
+                raise ParseError(line_no, "vertex count must be non-negative")
+            first_significant = False
+            continue
+        first_significant = False
+        if len(parts) != 2:
+            raise ParseError(line_no, f"expected two vertex ids, got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(line_no, f"non-integer vertex id in {line!r}") from None
+        if u < 0 or v < 0:
+            raise ParseError(line_no, "vertex ids must be non-negative")
+        pairs.append((line_no, u, v))
+
+    if header is not None:
+        n = header
+        remap = None
+        labels = None
+    else:
+        labels_sorted = sorted({u for _, u, _ in pairs} | {v for _, _, v in pairs})
+        remap = {lab: i for i, lab in enumerate(labels_sorted)}
+        identity = all(lab == i for i, lab in enumerate(labels_sorted))
+        labels = None if identity else labels_sorted
+        n = len(labels_sorted)
+
+    seen = set()
+    edges = []
+    for line_no, u, v in pairs:
+        if remap is not None:
+            u, v = remap[u], remap[v]
+        elif u >= n or v >= n:
+            raise ParseError(line_no, f"vertex id {max(u, v)} >= declared count {n}")
+        if u == v:
+            raise ParseError(line_no, f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ParseError(line_no, f"duplicate edge ({u}, {v})")
+        seen.add(e)
+        edges.append(e)
+    return Graph(n, edges, labels)

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from equicycle import (
     BadVertexError,
     BookParams,
     DuplicateEdgeError,
+    Graph,
     ParseError,
     SelfLoopError,
     TooSmallError,
@@ -22,7 +23,7 @@ from equicycle import (
     subdivide,
 )
 
-from brute import graph_cycle_lengths
+from brute import graph_cycle_lengths, reference_parse_edge_list
 
 
 def test_build_triangle():
@@ -167,7 +168,97 @@ def test_adjacency_sorted_for_any_edge_order(case):
     n, edge_set, rng = case
     pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edge_set]
     rng.shuffle(pairs)
-    g = build(n, pairs)
-    for v in range(n):
-        expected = sorted({b for a, b in edge_set if a == v} | {a for a, b in edge_set if b == v})
-        assert g.adjacency[v] == tuple(expected)
+    for g in (build(n, pairs), Graph(n, pairs)):
+        for v in range(n):
+            expected = sorted({b for a, b in edge_set if a == v} | {a for a, b in edge_set if b == v})
+            assert g.adjacency[v] == tuple(expected)
+        assert g.edges == tuple(sorted(edge_set))
+
+
+def test_constructor_sorts_unnormalised_pairs():
+    g = Graph(3, [(0, 2), (1, 0)])
+    assert g.adjacency == ((1, 2), (0,), (0,))
+    assert g.edges == ((0, 1), (0, 2))
+    assert g == build(3, [(0, 1), (0, 2)]) and g.edge_count == 2
+
+
+SPACES = st.sampled_from([" ", " ", "  ", "\t", "\u3000", "\xa0"])
+BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\u2028"])
+ODD_IDS = ["+5", "1_0", "-3", "007", "x", "\u0663", "\xb2", "10" * 30, "4" * 5000]
+HEADERS = ["vertices {}", "vertices {}", "vertices", "vertices {} 1", "vertices x",
+           "vertices -1", "vertices +{}", "  vertices\t{}  ", "vertices " + "4" * 5000]
+
+
+@st.composite
+def clean_texts(draw):
+    """Well-formed edge lists, with or without a header, dense or sparse
+    labels, in any orientation.  Half are laid out as
+    serialize_edge_list writes them; the rest may use other whitespace,
+    CRLF or blank lines."""
+    n = draw(st.integers(2, 10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=20,
+                          unique_by=lambda e: frozenset(e)))
+    dense = draw(st.booleans())
+    labels = (list(range(n)) if dense
+              else draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n, unique=True)))
+    canonical = draw(st.booleans())
+    space = st.just(" ") if canonical else SPACES
+    lines = [f"{labels[u]}{draw(space)}{labels[v]}" for u, v in pairs]
+    if dense and draw(st.booleans()):  # N = n - 1 leaves an id >= N if n - 1 is used
+        lines.insert(0, f"vertices {n + draw(st.integers(-1, 2))}")
+    if not canonical and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  \t"])))
+    end = "\n" if canonical else draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@st.composite
+def messy_texts(draw):
+    """Lines of every kind the line reader must judge: comments, blanks,
+    headers good and bad, odd tokens, loops, duplicates, ids >= N, one
+    or three tokens, under mixed whitespace and line breaks.  A third
+    keeps serialize_edge_list's layout, so that loops, duplicates and
+    ids >= N also meet the bulk reader."""
+    canonical = draw(st.integers(0, 2)) == 0
+    ids = st.integers(0, 8).map(str)
+    if not canonical:
+        ids = st.one_of(ids, st.sampled_from(ODD_IDS))
+    out = []
+    if canonical and draw(st.booleans()):
+        out.append(f"vertices {draw(st.integers(0, 9))}\n")
+    for _ in range(draw(st.integers(0, 10))):
+        kind = "edge" if canonical else draw(
+            st.sampled_from(["edge"] * 6 + ["comment", "blank", "one", "three", "header"]))
+        if kind == "edge":
+            line = f"{draw(ids)}{' ' if canonical else draw(SPACES)}{draw(ids)}"
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# note", "  #", "1 2 # trailing"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t\u3000"]))
+        elif kind == "one":
+            line = draw(ids)
+        elif kind == "three":
+            line = " ".join(draw(ids) for _ in range(3))
+        else:
+            line = draw(st.sampled_from(HEADERS)).format(draw(st.integers(0, 9)))
+        if canonical:
+            out.append(line + "\n")
+        else:
+            out.append(draw(SPACES) * draw(st.integers(0, 1)) + line + draw(BREAKS))
+    return "".join(out)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(clean_texts(), messy_texts()))
+def test_parse_matches_line_by_line_reference(text):
+    try:
+        expected = reference_parse_edge_list(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_edge_list(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
+    g = parse_edge_list(text)
+    assert (g.vertex_count, g.adjacency, g.edges, g.labels) == (
+        expected.vertex_count, expected.adjacency, expected.edges, expected.labels)

@@ -79,7 +79,8 @@ def test_classify_unequal_paths_other():
 def test_classify_matches_reference(g):
     for block in decompose(g).cycle_blocks:
         expected = reference_classify(block)
-        for shape in (recognition._classify(block), classify_block(block)):
+        for shape in (recognition._classify(block.edges, len(block.vertices)),
+                      classify_block(block)):
             assert shape == expected and repr(shape) == repr(expected)
             assert getattr(shape, "chains", None) == getattr(expected, "chains", None)
 
@@ -141,6 +142,25 @@ def test_decide_witnesses_match_extract_witnesses(g):
     assert (d.witness_a, d.witness_b, d.witness_status) == (*(pair or (None, None)), status)
     if pair is not None:
         assert len(d.witness_a) < len(d.witness_b)
+        assert is_simple_cycle(g, d.witness_a) and is_simple_cycle(g, d.witness_b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_graphs().filter(lambda g: g.vertex_count <= 16))
+def test_decide_matches_brute_force_on_structured_graphs(g):
+    d = decide(g)
+    lengths = graph_cycle_lengths(g)
+    if not lengths:
+        assert isinstance(d, Acyclic)
+    elif len(lengths) == 1:
+        assert isinstance(d, AllCyclesEqual) and d.r == lengths.pop()
+    else:
+        assert isinstance(d, DistinctLengths)
+    # the one-pass path and the given-decomposition path agree
+    given_d = decide(g, decomposition=decompose(g))
+    assert repr(d) == repr(given_d) and d.notes == given_d.notes
+    assert ([getattr(s, "chains", None) for s in getattr(d, "shapes", ())]
+            == [getattr(s, "chains", None) for s in getattr(given_d, "shapes", ())])
 
 
 def test_decide_odd_wedge():
