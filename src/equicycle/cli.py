@@ -71,8 +71,7 @@ def _shape(shape):
 
 def _cmd_check(args):
     g = _load_graph(args.file)
-    budget = SearchBudget(max_vertices=args.max_vertices)
-    decision = decide(g, budget=budget, witnesses=args.witness)
+    decision = decide(g, witnesses=args.witness)
     status = _STATUS[type(decision)]
     obj = {"status": status}
     if status == "all_cycles_equal":
@@ -213,8 +212,6 @@ def _build_parser():
     p.add_argument("--witness", action="store_true",
                    help="attach two cycles of distinct lengths on rejection")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-vertices", type=_positive_int, default=14,
-                   help="oracle fallback size limit for witness extraction")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decompose", help="bridges, cut vertices and cycle blocks")

@@ -1,10 +1,10 @@
 """Ground-truth cycle analysis by exhaustive search.
 
 girth() is polynomial (per-root BFS) and exempt from the budget;
-cycle_spectrum() and circumference() enumerate all simple cycles, and
-extreme_cycles() searches for a shortest and a longest one; all three
-are guarded by a SearchBudget.  cycle_spectrum() is the independent
-verifier for the structural decision procedure.
+cycle_spectrum() and circumference() enumerate all simple cycles and
+are guarded by a SearchBudget.  cycle_spectrum() backs the `oracle`
+verb and is the independent verifier for the structural decision
+procedure; neither the decision nor its witness cycles use this module.
 """
 
 from collections import deque
@@ -71,12 +71,12 @@ def girth(g):
     return best
 
 
-def _cycles(adj, root, cap, tick, max_states):
-    """Yield each simple cycle with least vertex root and at most cap
-    vertices, once, oriented toward root's smaller neighbour on it: in
-    lexicographic order if neighbour tuples are sorted.  Each path
-    extension draws from the shared counter tick; the draw past
-    max_states raises BudgetExceededError."""
+def _cycles(adj, root, tick, max_states):
+    """Yield each simple cycle with least vertex root, once, oriented
+    toward root's smaller neighbour on it: in lexicographic order if
+    neighbour tuples are sorted.  Each path extension draws from the
+    shared counter tick; the draw past max_states raises
+    BudgetExceededError."""
     path = [root]
     on_path = {root}
     stack = [iter(adj[root])]
@@ -86,7 +86,7 @@ def _cycles(adj, root, cap, tick, max_states):
                 if len(path) >= 3 and path[1] < path[-1]:
                     yield tuple(path)
                 continue
-            if y < root or y in on_path or len(path) >= cap:
+            if y < root or y in on_path:
                 continue
             states = next(tick)
             if states > max_states:
@@ -100,16 +100,6 @@ def _cycles(adj, root, cap, tick, max_states):
             on_path.discard(path.pop())
 
 
-def _state_limit(g, budget):
-    """The state limit of budget (the default if None), checked against g."""
-    if budget is None:
-        budget = SearchBudget()
-    budget.validate()
-    if g.vertex_count > budget.max_vertices:
-        raise OverBudgetError(g.vertex_count, budget.max_vertices)
-    return budget.max_visited_states
-
-
 def cycle_spectrum(g, budget=None):
     """Enumerate every simple cycle length with one canonical witness.
 
@@ -118,12 +108,16 @@ def cycle_spectrum(g, budget=None):
     cycle; the retained witness per length is the lexicographically
     least one.  Deterministic.
     """
-    max_states = _state_limit(g, budget)
+    if budget is None:
+        budget = SearchBudget()
+    budget.validate()
     n = g.vertex_count
+    if n > budget.max_vertices:
+        raise OverBudgetError(n, budget.max_vertices)
     tick = count(1)
     witnesses = {}
     for root in range(n):
-        for w in _cycles(g.adjacency, root, n, tick, max_states):
+        for w in _cycles(g.adjacency, root, tick, budget.max_visited_states):
             k = len(w)
             if k not in witnesses or w < witnesses[k]:
                 witnesses[k] = w
@@ -135,33 +129,6 @@ def cycle_spectrum(g, budget=None):
         lengths=lengths,
         witnesses=witnesses,
     )
-
-
-def extreme_cycles(g, budget=None):
-    """cycle_spectrum's girth and circumference witnesses, or None for a
-    forest, found without listing every cycle.
-
-    Premise: g's neighbour tuples are sorted (build and Block.to_graph
-    ensure it), so the first cycle of a length the DFS meets is the
-    spectrum's witness for it.  max_visited_states counts the states of
-    both searches together.
-    """
-    max_states = _state_limit(g, budget)
-    shortest = girth(g)
-    if shortest is None:
-        return None
-    n, adj, tick = g.vertex_count, g.adjacency, count(1)
-    lo = next(c for root in range(n) for c in _cycles(adj, root, shortest, tick, max_states))
-    hi = lo
-    for root in range(n):
-        if n - root <= len(hi):
-            break  # a cycle rooted at root has at most n - root vertices
-        for c in _cycles(adj, root, n, tick, max_states):
-            if len(c) > len(hi):
-                hi = c
-                if len(hi) == n - root:
-                    break
-    return lo, hi
 
 
 def circumference(g, budget=None):

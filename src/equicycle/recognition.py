@@ -8,10 +8,14 @@ blocks implying different r, forces two distinct cycle lengths.
 The decision is one linear pass: Hopcroft-Tarjan cuts the edges into
 block slices, and each slice is classified from its edge count, vertex
 count and degree profile, with hub-to-hub chains walked only in a
-two-hub block.  No Block is built on the way.  Explicit witness cycles
-are produced on request, from the hub-to-hub chains of a two-hub block,
-and otherwise by a budgeted search for the block's shortest and longest
-cycle; only the blocks that search walks become Blocks.
+two-hub block.  No Block is built on the way.
+
+Every rejection can be given two witness cycles of distinct lengths, in
+linear time and with no search budget.  They come from the hub-to-hub
+chains of a two-hub block; from an ear search in a block whose degree
+profile has any other number of hubs (a cycle grown ear by ear into an
+equal-path book until an ear breaks it); or, when every block is
+well-shaped, from two blocks of different r.
 """
 
 from collections import Counter
@@ -20,8 +24,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .decomposition import Block, _biconnected_components, decompose, edge_adjacency
-from .errors import BudgetExceededError, NotABlockError, NotRejectedError
-from .oracle import SearchBudget, extreme_cycles
+from .errors import NotABlockError, NotRejectedError
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,9 @@ class OtherShape:
     chains: list | None = field(default=None, compare=False, repr=False)
 
     r = None
+
+
+_DEGREE_PROFILE = OtherShape("degree-profile")
 
 
 @dataclass(frozen=True)
@@ -100,18 +106,21 @@ def _hub_chains(adj, a):
     return chains
 
 
-def _classify(edges, vertex_count):
+def _classify(edges, vertex_count, degrees=None):
     """Shape of one cycle block given as its edge list, in any order,
-    and its vertex count."""
+    and its vertex count.  degrees, the Counter of its edges' ends, is
+    counted here unless given."""
     # a block is 2-connected, so every degree is at least 2: as many edges
     # as vertices leaves every degree at exactly 2, a single cycle
     if len(edges) == vertex_count:
         return CycleShape(vertex_count)
-    hubs = [v for v, d in Counter(chain.from_iterable(edges)).items() if d > 2]
+    if degrees is None:
+        degrees = Counter(chain.from_iterable(edges))
+    hubs = [v for v, d in degrees.items() if d > 2]
     # two hubs have equal degree: a chain of degree-2 vertices from a hub
     # back to itself would make that hub a cut vertex
     if len(hubs) != 2:
-        return OtherShape("degree-profile")
+        return _DEGREE_PROFILE
     chains = _hub_chains(edge_adjacency(sorted(edges)), min(hubs))
     lens = [len(c) - 1 for c in chains]
     if len(set(lens)) > 1:
@@ -139,20 +148,31 @@ def classify_block(block):
 
 
 def _cycle_blocks(g, decomposition):
-    """The component count, and each cycle block as (least vertex,
-    vertex count, edge list), ordered by least vertex.  Without a
-    decomposition the edge lists are Hopcroft-Tarjan's raw slices, read
-    here for their vertex set only; the classifier sorts just the
-    slices of two-hub blocks."""
+    """The component count, and each cycle block as a row (least vertex,
+    vertex count, edge list, shape, degrees), ordered by least vertex.
+    Without a decomposition the edge lists are Hopcroft-Tarjan's raw
+    slices, each classified as it is read; a degree-profile block keeps
+    its degree Counter in place of its edge list.  The rows of a
+    decomposition's blocks hold their edges, and no shape or degrees."""
     if decomposition is not None:
         return decomposition.component_count, [
-            (b.vertices[0], len(b.vertices), b.edges) for b in decomposition.cycle_blocks]
+            (b.vertices[0], len(b.vertices), b.edges, None, None)
+            for b in decomposition.cycle_blocks]
     comps, _, component_count = _biconnected_components(g.vertex_count, g.adjacency)
     blocks = []
     for edges in comps:
         if len(edges) > 1:
             vertices = set(chain.from_iterable(edges))
-            blocks.append((min(vertices), len(vertices), edges))
+            least, size = min(vertices), len(vertices)
+            del vertices  # freed before the degree count, a second vertex set, is built
+            degrees = None if len(edges) == size else Counter(chain.from_iterable(edges))
+            shape = _classify(edges, size, degrees)
+            if shape is _DEGREE_PROFILE:
+                # the ear search reads the block through its degree Counter,
+                # whose keys are its vertex set, so the slice can go
+                blocks.append((least, size, None, shape, degrees))
+            else:
+                blocks.append((least, size, edges, shape, None))
     # stable: blocks that share their least vertex, a cut vertex, keep
     # the order in which the DFS closed them
     blocks.sort(key=itemgetter(0))
@@ -160,7 +180,7 @@ def _cycle_blocks(g, decomposition):
 
 
 def _shapes(blocks):
-    return tuple([_classify(edges, size) for _, size, edges in blocks])
+    return tuple([shape or _classify(edges, size) for _, size, edges, shape, _ in blocks])
 
 
 def _cycle_witness(block):
@@ -195,15 +215,157 @@ def _theta_witness_pair(chains):
     return _chain_pair_cycle(shortest, third), _chain_pair_cycle(longest, third)
 
 
-def _oracle_witness_pair(block, budget):
-    sub, mapping = block.to_graph()
-    try:
-        pair = extreme_cycles(sub, budget)
-    except BudgetExceededError:
+def _bfs_cycle(adj, inside, s):
+    """The cycle closed by the first non-tree edge (x, y) that a BFS of
+    the block from s meets (a block with a cycle has one): x up to the
+    lowest common ancestor of x and y in the BFS tree, then down to y."""
+    parent = {s: s}
+    queue = [s]
+    for x in queue:
+        for y in adj[x]:
+            if y in parent:
+                if y != parent[x]:
+                    up = [x]
+                    while up[-1] != s:
+                        up.append(parent[up[-1]])
+                    index = {v: i for i, v in enumerate(up)}
+                    down = [y]
+                    while down[-1] not in index:
+                        down.append(parent[down[-1]])
+                    return up[:index[down[-1]]] + down[::-1]
+            elif y in inside:
+                parent[y] = x
+                queue.append(y)
+
+
+def _ear(adj, inside, on, u, x):
+    """The ear of the subgraph H (vertex set `on`) that leaves u through
+    its neighbour x, as the path u, x, ..., w to a vertex w != u of H:
+    [u, x] when x is on H (a chord), and otherwise the BFS tree path
+    from x through vertices off H to the first vertex met that has a
+    neighbour w on H other than u.  2-connectivity guarantees one."""
+    if x in on:
+        return [u, x]
+    parent = {x: u}
+    queue = [x]
+    for y in queue:
+        for z in adj[y]:
+            if z in on:
+                if z != u:
+                    ear = [z, y]
+                    while ear[-1] != u:
+                        ear.append(parent[ear[-1]])
+                    return ear[::-1]
+            elif z not in parent and z in inside:
+                parent[z] = y
+                queue.append(z)
+
+
+def _shorter_first(cycles):
+    """The first of cycles and the first one of another length, shorter
+    first; None if all have one length."""
+    a = cycles[0]
+    for b in cycles[1:]:
+        if len(b) != len(a):
+            return (tuple(a), tuple(b)) if len(a) < len(b) else (tuple(b), tuple(a))
+    return None
+
+
+def _book_ear_pair(pages, at, ear):
+    """Two cycles of distinct lengths in a book and an ear that is not a
+    further page.  pages are the book's equal a..b paths, at gives each
+    book vertex's (page, index from a), and the ear runs from u to w.
+    A hub lies on every page, so it takes the page of the other end."""
+    k = len(pages[0]) - 1
+    (i, s), (j, t) = at[ear[0]], at[ear[-1]]
+    if s in (0, k):
+        i = j
+    elif t in (0, k):
+        j = i
+    if s > t:
+        ear = ear[::-1]
+        i, s, j, t = j, t, i, s
+    back = ear[-2:0:-1]  # the ear's inner vertices, from w back to u
+    p = pages[i]
+    if i == j:
+        # the ear closes one cycle with the page segment between its ends
+        # and one around the far side through another page; with both
+        # ends at the hubs those two tie, and the book's own cycle differs
+        other = pages[1 if i == 0 else 0]
+        return _shorter_first([p[s:t + 1] + back,
+                               p[s::-1] + other[1:] + p[k - 1:t - 1:-1] + back,
+                               pages[0] + pages[1][-2:0:-1]])
+    # ends on two pages, s and t from a: the cycles of lengths q+s+t,
+    # q+2k-s-t and q+2k+s-t; the first and the third always differ
+    third = pages[next(n for n in range(3) if n != i and n != j)]
+    pj = pages[j]
+    return _shorter_first([p[s::-1] + pj[1:t + 1] + back,
+                           p[s:] + pj[k - 1:t - 1:-1] + back,
+                           p[s::-1] + third[1:] + pj[k - 1:t - 1:-1] + back])
+
+
+def _ear_witness_pair(adj, inside, s):
+    """Two cycles of distinct lengths in the block with vertex set
+    inside and least vertex s, or None if all its cycles have one
+    length.  A cycle C from a BFS at s and its first ear give three
+    paths between two vertices of C; unequal lengths give the pair.
+    Equal ones are the first pages of a book with those two vertices as
+    hubs, which grows by hub-to-hub ears of page length until an ear
+    breaks it.  A page's inner vertex with a neighbour off its page
+    starts a breaking ear, so inner vertices are checked as their pages
+    join, and the remaining ears all leave the first hub."""
+    c = _bfs_cycle(adj, inside, s)
+    n = len(c)
+    at = {v: i for i, v in enumerate(c)}
+    for i, u in enumerate(c):
+        for x in adj[u]:
+            if x != c[i - 1] and x != c[(i + 1) % n] and x in inside:
+                ear = _ear(adj, inside, at, u, x)
+                d = (at[ear[-1]] - i) % n
+                pages = [[c[(i + m) % n] for m in range(d + 1)],
+                         [c[(i - m) % n] for m in range(n - d + 1)], ear]
+                if len({len(p) for p in pages}) > 1:
+                    return _theta_witness_pair(pages)
+                return _grow_book(adj, inside, pages)
+    return None  # the block is the cycle C
+
+
+def _grow_book(adj, inside, pages):
+    """_ear_witness_pair's book phase, from three equal a..b pages."""
+    a, b = pages[0][0], pages[0][-1]
+    k = len(pages[0]) - 1
+    at = {a: (0, 0), b: (0, k)}
+    for i, page in enumerate(pages):
+        for t in range(1, k):
+            at[page[t]] = (i, t)
+
+    def breaking_ear(page):
+        """An ear from an inner vertex of page, or None."""
+        for t in range(1, k):
+            for x in adj[page[t]]:
+                if x != page[t - 1] and x != page[t + 1] and x in inside:
+                    return _ear(adj, inside, at, page[t], x)
         return None
-    if pair is None or len(pair[0]) == len(pair[1]):
-        return None
-    return tuple(tuple(mapping[v] for v in c) for c in pair)
+
+    for page in pages:
+        ear = breaking_ear(page)
+        if ear is not None:
+            return _book_ear_pair(pages, at, ear)
+    for x in adj[a]:
+        if x in at:
+            if at[x][1] == 1:
+                continue  # the first edge of a page
+        elif x not in inside:
+            continue
+        ear = _ear(adj, inside, at, a, x)
+        if ear[-1] == b and len(ear) == k + 1:
+            for t in range(1, k):
+                at[ear[t]] = (len(pages), t)
+            pages.append(ear)
+            ear = breaking_ear(ear)
+        if ear is not None:
+            return _book_ear_pair(pages, at, ear)
+    return None  # the block is the book
 
 
 def _common_r(shapes):
@@ -212,45 +374,42 @@ def _common_r(shapes):
     return rs.pop() if len(rs) == 1 else None
 
 
-def _witness_pair(blocks, shapes, budget):
+def _witness_pair(adj, blocks, shapes):
     """Two simple cycles of distinct lengths, shorter first, or None.
-    blocks are _cycle_blocks rows; a Block is built only for a block
-    walked here.  Theta and oracle pairs come in that order (a theta
-    pairs its shortest and longest chain with a third; the oracle gives
-    a shortest and a longest cycle)."""
-    budget = budget or SearchBudget()
-    budget.validate()
+    blocks are _cycle_blocks rows; a Block is built only for a
+    well-shaped block walked here."""
     # a single misshapen block always contains both lengths
-    for (_, size, edges), shape in zip(blocks, shapes):
+    for (least, size, edges, own, degrees), shape in zip(blocks, shapes):
         if not isinstance(shape, OtherShape):
             continue
         if shape.chains is None and shape.reason in (
                 "endpoints-adjacent-structure", "unequal-path-lengths"):
-            shape = _classify(edges, size)  # a shape made by hand carries no chains
+            shape = own or _classify(edges, size)  # a shape made by hand carries no chains
             if not isinstance(shape, OtherShape):
                 continue  # the block is well-shaped after all
         if shape.chains is not None:
-            pair = _theta_witness_pair(shape.chains)
-        elif size > budget.max_vertices:
-            pair = None  # an over-budget block is never copied
-        else:
-            pair = _oracle_witness_pair(Block.of(edges), budget)
+            return _theta_witness_pair(shape.chains)
+        # a shape made by hand may call a well-shaped block misshapen
+        pair = _ear_witness_pair(adj, degrees or set(chain.from_iterable(edges)), least)
         if pair is not None:
             return pair
     # otherwise two well-shaped blocks disagree on r
     by_r = {}
-    for (_, _, edges), shape in zip(blocks, shapes):
-        if shape.r is not None and shape.r not in by_r:
-            witness = _cycle_witness if isinstance(shape, CycleShape) else _book_witness
-            by_r[shape.r] = witness(Block.of(edges))
-    # by length, not by r: a shape made by hand may state a wrong r
-    by_len = {len(c): c for c in by_r.values()}
-    if len(by_len) >= 2:
-        return by_len[min(by_len)], by_len[max(by_len)]
+    for (_, size, edges, own, _), shape in zip(blocks, shapes):
+        if shape.r is None:
+            continue
+        # by the block's own shape: one made by hand may state a wrong r,
+        # or call a misshapen block well-shaped
+        own = own or _classify(edges, size)
+        if own.r is not None and own.r not in by_r:
+            witness = _cycle_witness if isinstance(own, CycleShape) else _book_witness
+            by_r[own.r] = witness(Block.of(edges))
+    if len(by_r) >= 2:
+        return by_r[min(by_r)], by_r[max(by_r)]
     return None
 
 
-def decide(g, budget=None, witnesses=False, decomposition=None):
+def decide(g, witnesses=False, decomposition=None):
     """The main decision procedure.
 
     Returns AllCyclesEqual(r, ...) iff every cycle block is C_r or
@@ -262,12 +421,14 @@ def decide(g, budget=None, witnesses=False, decomposition=None):
     decomposition, if given, must be decompose(g); its blocks are
     classified in place of the slices.
 
-    Pass witnesses=True to also extract a concrete pair of unequal
-    cycles on rejection; only then is a Block built, and only for the
-    blocks the witness search walks.  The fallback search for a block's
-    shortest and longest cycle is budgeted: a block over
-    budget.max_vertices, or a tripped state guard, gives status
-    'decision-only'; a budget field <= 0 raises ValueError.
+    Pass witnesses=True to also attach a pair of cycles of distinct
+    lengths, shorter first, on rejection (status 'exact'; without
+    witnesses the status is 'decision-only').  The pair costs linear
+    time and no budget: it comes from a two-hub block's chains, from an
+    ear search in a block of any other degree profile, or from two
+    blocks of different r.  It depends only on g, not on the order in
+    which a block's edges were found, so both decomposition paths give
+    the same pair.
     """
     component_count, blocks = _cycle_blocks(g, decomposition)
     notes = ()
@@ -279,17 +440,21 @@ def decide(g, budget=None, witnesses=False, decomposition=None):
     r = _common_r(shapes)
     if r is not None:
         return AllCyclesEqual(r, shapes, notes)
-    pair = _witness_pair(blocks, shapes, budget) if witnesses else None
+    pair = _witness_pair(g.adjacency, blocks, shapes) if witnesses else None
     if pair is None:
         return DistinctLengths(None, None, "decision-only", shapes, notes)
     return DistinctLengths(*pair, "exact", shapes, notes)
 
 
-def extract_witnesses(g, shapes=None, budget=None, decomposition=None):
+def extract_witnesses(g, shapes=None, decomposition=None):
     """Two simple cycles of distinct lengths for a rejected graph.
 
-    Returns ((cycle_a, cycle_b), status).  Raises NotRejectedError when
-    the graph is accepted or acyclic.  decomposition, if given, must be
+    Returns ((cycle_a, cycle_b), 'exact'), the shorter cycle first, the
+    same pair as decide(g, witnesses=True).  Raises NotRejectedError
+    when the graph is accepted or acyclic.  shapes, if given, stand in
+    for the blocks' own; a block they call misshapen but which has one
+    cycle length yields no pair, and with no other pair the result is
+    (None, 'decision-only').  decomposition, if given, must be
     decompose(g).
     """
     _, blocks = _cycle_blocks(g, decomposition)
@@ -297,5 +462,5 @@ def extract_witnesses(g, shapes=None, budget=None, decomposition=None):
         shapes = _shapes(blocks)
     if not blocks or _common_r(shapes) is not None:
         raise NotRejectedError("graph does not contain two distinct cycle lengths")
-    pair = _witness_pair(blocks, shapes, budget)
+    pair = _witness_pair(g.adjacency, blocks, shapes)
     return pair, "decision-only" if pair is None else "exact"

@@ -147,8 +147,7 @@ def blockwise_spectrum_check(g, budget=None):
 def reference_cycle_spectrum(g, budget=None):
     """The library's earlier cycle_spectrum, one loop over all roots:
     same report, witness order, budget checks and guard trip, kept as
-    the reference for the DFS that cycle_spectrum and extreme_cycles
-    now share."""
+    the reference for cycle_spectrum's per-root cycle generator."""
     if budget is None:
         budget = SearchBudget()
     budget.validate()

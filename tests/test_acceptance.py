@@ -54,7 +54,12 @@ def _decomposition_violations(g, decomp):
     block_edges = [e for b in decomp.cycle_blocks for e in b.edges]
     if len(block_edges) != len(set(block_edges)):
         violations.append("edge in two blocks")
-    if set(block_edges) | set(decomp.bridges) != set(g.edges):
+    # read against the adjacency, not g.edges, which is derived on first
+    # read: a set of pairs u < v, each an edge of g, as many as g has
+    # edges, is exactly g's edge set
+    parts = set(block_edges) | set(decomp.bridges)
+    adj = g.adjacency
+    if len(parts) != g.edge_count or not all(u < v and v in adj[u] for u, v in parts):
         violations.append("edge partition does not cover edge set")
     if len(block_edges) + len(decomp.bridges) != g.edge_count:
         violations.append("edge partition sizes disagree")

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicycle import complete, parse_edge_list, serialize_edge_list, wedge, WedgeSpec, cycle
 from equicycle.cli import main
 
-PETERSEN = str(pathlib.Path(__file__).parent / "golden" / "petersen.edges")
+from brute import is_simple_cycle
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+PETERSEN = str(GOLDEN / "petersen.edges")
 
 
 def write_graph(tmp_path, name, g):
@@ -215,7 +222,7 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("verb", ["check", "oracle"])
+@pytest.mark.parametrize("verb", ["oracle"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_max_vertices_must_be_positive(bowtie_file, capsys, verb, value):
     with pytest.raises(SystemExit) as exc:
@@ -226,24 +233,75 @@ def test_max_vertices_must_be_positive(bowtie_file, capsys, verb, value):
     assert "Traceback" not in err
 
 
-def test_check_witness_decision_only_when_state_guard_trips(capsys, monkeypatch):
-    import functools
+@pytest.mark.parametrize("value", ["0", "-1", "3"])
+def test_check_has_no_max_vertices(bowtie_file, capsys, value):
+    # witness cycles need no search budget, so check takes no size limit
+    with pytest.raises(SystemExit) as exc:
+        main(["check", bowtie_file, "--witness", "--max-vertices", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --max-vertices" in err and "Traceback" not in err
 
-    import equicycle.cli as cli
 
-    monkeypatch.setattr(cli, "SearchBudget",
-                        functools.partial(cli.SearchBudget, max_visited_states=100))
+def assert_exact_witness(g, obj):
+    """obj is check --json --witness output for g, whose ids are dense."""
+    assert obj["status"] == "distinct_lengths"
+    a, b = obj["witness"]["cycle_a"], obj["witness"]["cycle_b"]
+    assert obj["witness"]["lengths"] == [len(a), len(b)] and len(a) < len(b)
+    assert is_simple_cycle(g, a) and is_simple_cycle(g, b)
+
+
+def test_check_witness_exact_on_petersen(capsys):
+    # the oracle's state guard once left this rejection without witnesses
     assert main(["check", PETERSEN, "--witness", "--json", "--expect", "distinct"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["status"] == "distinct_lengths" and "witness" not in obj
+    with open(PETERSEN, encoding="utf-8") as fh:
+        g = parse_edge_list(fh.read())
+    assert_exact_witness(g, json.loads(capsys.readouterr().out))
 
 
 def test_check_witness_exact_on_k14(tmp_path, capsys):
     f = write_graph(tmp_path, "k14.edges", complete(14))
     assert main(["check", f, "--witness", "--json"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["status"] == "distinct_lengths"
-    assert obj["witness"]["lengths"] == [3, 14]
+    assert_exact_witness(complete(14), json.loads(capsys.readouterr().out))
+
+
+@st.composite
+def mutated_golden_files(draw):
+    """A golden corpus file, truncated or with one byte replaced,
+    inserted or deleted; the byte is often one the parser treats
+    specially."""
+    data = draw(st.sampled_from(sorted(GOLDEN.glob("*.edges")))).read_bytes()
+    kind = draw(st.sampled_from(["truncate", "replace", "insert", "delete"]))
+    i = draw(st.integers(0, max(len(data) - 1, 0)))
+    byte = bytes([draw(st.one_of(st.sampled_from(b"0123456789 \n\r\t#-v"), st.integers(0, 255)))])
+    if kind == "truncate":
+        return data[:i]
+    if kind == "insert":
+        return data[:i] + byte + data[i:]
+    return data[:i] + (byte if kind == "replace" else b"") + data[i + 1:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_golden_files())
+def test_exit_code_contract_on_mutated_golden_files(tmp_path_factory, data):
+    f = tmp_path_factory.mktemp("mutated") / "g.edges"
+    f.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(f), "--witness", "--json"])  # any exception fails here
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+        return
+    assert err.getvalue() == ""
+    obj = json.loads(out.getvalue())
+    if obj["status"] == "distinct_lengths":
+        # every rejection carries two cycles of the input, shorter first
+        g = parse_edge_list(data.decode("utf-8"))
+        index = {label: v for v, label in enumerate(g.labels or range(g.vertex_count))}
+        a, b = ([index[x] for x in c] for c in (obj["witness"]["cycle_a"], obj["witness"]["cycle_b"]))
+        assert len(a) < len(b) and is_simple_cycle(g, a) and is_simple_cycle(g, b)
 
 
 def test_byte_identical_runs(bowtie_file, capsys):

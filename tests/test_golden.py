@@ -31,12 +31,12 @@ FILE_COMMANDS = (
     ("check", "--json"),
     ("check", "--json", "--witness"),
     ("check", "--witness"),
-    ("check", "--witness", "--max-vertices", "3"),
     ("check", "--expect", "equal"),
     ("decompose",),
     ("decompose", "--json"),
     ("oracle",),
     ("oracle", "--json"),
+    ("oracle", "--max-vertices", "3"),
 )
 COMMANDS = (
     *(f"bound --n {n}{r}{j}" for n, r, j in itertools.product(

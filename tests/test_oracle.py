@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicycle import (
@@ -23,8 +23,6 @@ from equicycle import (
     subdivide,
     wedge,
 )
-
-from equicycle.oracle import extreme_cycles
 
 from brute import (
     graph_cycle_lengths,
@@ -168,26 +166,3 @@ def test_spectrum_matches_reference(g, max_states):
     budget = SearchBudget(max_vertices=g.vertex_count, max_visited_states=max_states)
     assert (spectrum_outcome(cycle_spectrum, g, budget)
             == spectrum_outcome(reference_cycle_spectrum, g, budget))
-
-
-@settings(max_examples=300, deadline=None)
-@given(any_graphs)
-def test_extreme_cycles_are_the_spectrum_witnesses(g):
-    budget = SearchBudget(max_vertices=g.vertex_count, max_visited_states=200_000)
-    try:
-        report = cycle_spectrum(g, budget)
-    except BudgetExceededError:
-        assume(False)
-    pair = extreme_cycles(g, SearchBudget(max_vertices=g.vertex_count))
-    if report.is_acyclic:
-        assert pair is None
-    else:
-        assert pair == (report.witnesses[report.lengths[0]],
-                        report.witnesses[report.lengths[-1]])
-
-
-def test_extreme_cycles_budget():
-    with pytest.raises(OverBudgetError):
-        extreme_cycles(cycle(15))
-    with pytest.raises(BudgetExceededError):
-        extreme_cycles(complete(9), SearchBudget(max_visited_states=5))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicycle import (
     Acyclic,
@@ -13,6 +14,7 @@ from equicycle import (
     NotABlockError,
     NotRejectedError,
     OtherShape,
+    OverBudgetError,
     SearchBudget,
     WedgeSpec,
     book,
@@ -21,6 +23,7 @@ from equicycle import (
     complete,
     complete_bipartite,
     cycle,
+    cycle_spectrum,
     decide,
     decompose,
     extract_witnesses,
@@ -44,6 +47,16 @@ def single_block(g):
     blocks = decompose(g).cycle_blocks
     assert len(blocks) == 1
     return blocks[0]
+
+
+def assert_exact_pair(g, pair, status):
+    """An exact pair: two simple cycles of g, shorter first, and the same
+    pair that the given-decomposition path finds."""
+    assert status == "exact"
+    a, b = pair
+    assert len(a) < len(b)
+    assert is_simple_cycle(g, a) and is_simple_cycle(g, b)
+    assert extract_witnesses(g, decomposition=decompose(g)) == (pair, status)
 
 
 def test_classify_cycle():
@@ -135,14 +148,13 @@ def test_block_check_matches_vertex_deletion_reference(g):
 @settings(max_examples=200, deadline=None)
 @given(structured_graphs())
 def test_decide_witnesses_match_extract_witnesses(g):
+    # every rejection is exact, degree-profile blocks included
     d = decide(g, witnesses=True)
     if not isinstance(d, DistinctLengths):
         return
     pair, status = extract_witnesses(g)
-    assert (d.witness_a, d.witness_b, d.witness_status) == (*(pair or (None, None)), status)
-    if pair is not None:
-        assert len(d.witness_a) < len(d.witness_b)
-        assert is_simple_cycle(g, d.witness_a) and is_simple_cycle(g, d.witness_b)
+    assert (d.witness_a, d.witness_b, d.witness_status) == (*pair, status)
+    assert_exact_pair(g, pair, status)
 
 
 @settings(max_examples=300, deadline=None)
@@ -269,10 +281,23 @@ def test_witnesses_valid_on_random_rejections():
         checked += 1
 
 
-def test_witnesses_decision_only_over_budget():
+@pytest.mark.parametrize("n", [6, 8, 14])
+def test_witnesses_exact_on_complete_graphs(n):
+    # once the oracle's cases: K_6 over a 4-vertex budget, K_8 under a
+    # 1000-state guard, K_14 at the default 14-vertex limit
+    g = complete(n)
+    assert_exact_pair(g, *extract_witnesses(g))
+
+
+def test_witnesses_exact_where_oracle_is_over_budget():
+    # a 4-vertex budget once left K_6 without witnesses; the witness path
+    # no longer consults the oracle, so the same graph gets an exact pair
     g = complete(6)
-    pair, status = extract_witnesses(g, budget=SearchBudget(max_vertices=4))
-    assert pair is None and status == "decision-only"
+    with pytest.raises(OverBudgetError):
+        cycle_spectrum(g, SearchBudget(max_vertices=4))
+    pair, status = extract_witnesses(g)
+    assert_exact_pair(g, pair, status)
+    assert decide(g, witnesses=True).witness_status == "exact"
 
 
 def petersen():
@@ -281,41 +306,92 @@ def petersen():
                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
 
-def test_witnesses_decision_only_when_state_guard_trips():
-    pair, status = extract_witnesses(petersen(), budget=SearchBudget(max_visited_states=100))
-    assert pair is None and status == "decision-only"
-
-
-@pytest.mark.parametrize("g, budget", [
-    (complete(6), None),
-    (complete(8), SearchBudget(max_visited_states=1000)),
-    (complete(14), None),
-])
-def test_oracle_witnesses_exact_on_complete_graphs(g, budget):
-    pair, status = extract_witnesses(g, budget=budget)
-    assert status == "exact"
-    assert [len(c) for c in pair] == [3, g.vertex_count]
-    assert all(is_simple_cycle(g, c) for c in pair)
+def test_witnesses_exact_on_petersen():
+    g = petersen()
+    pair, status = extract_witnesses(g)
+    assert_exact_pair(g, pair, status)
+    assert {len(c) for c in pair} <= {5, 6, 8, 9}  # Petersen's cycle lengths
 
 
 def test_bad_budget_raises_on_witness_path():
-    with pytest.raises(ValueError):
-        extract_witnesses(complete(6), budget=SearchBudget(max_vertices=0))
+    # the witness path takes no budget: a stray one is refused, not ignored
+    for call in (decide, extract_witnesses):
+        with pytest.raises(TypeError):
+            call(complete(6), budget=SearchBudget(max_vertices=0))
 
 
 def test_over_budget_block_is_never_copied(monkeypatch):
-    import equicycle.recognition as recognition
-
     def refuse(*args, **kwargs):
-        raise AssertionError("over-budget block reached the oracle")
+        raise AssertionError("the ear search copied the block")
 
     monkeypatch.setattr(Block, "to_graph", refuse)
-    monkeypatch.setattr(recognition, "extreme_cycles", refuse)
-    # Hamiltonian 20-cycle with two crossing chords: four hubs, no theta shape
+    monkeypatch.setattr(Block, "of", refuse)
+    # Hamiltonian 20-cycle with two crossing chords: four hubs, no theta
+    # shape, and more vertices than the oracle's default budget
     g = build(20, [(i, (i + 1) % 20) for i in range(20)] + [(0, 10), (5, 15)])
     d = decide(g, witnesses=True)
-    assert isinstance(d, DistinctLengths)
-    assert d.witness_a is None and d.witness_status == "decision-only"
+    assert isinstance(d, DistinctLengths) and d.witness_status == "exact"
+    assert len(d.witness_a) < len(d.witness_b)
+    assert is_simple_cycle(g, d.witness_a) and is_simple_cycle(g, d.witness_b)
+
+
+@pytest.mark.parametrize("g", [cycle(4), book(BookParams(2, 4, 2)), book(BookParams(3, 6, 10**4))],
+                         ids=["C4", "B(2,4,2)", "B(3,6,10^4)"])
+def test_hand_made_degree_profile_of_well_shaped_block_gives_no_pair(g):
+    # the ear search grows the whole book (or finds only the cycle) and
+    # stops without a pair; it raises nothing
+    shapes = (OtherShape("degree-profile"),)
+    assert extract_witnesses(g, shapes) == (None, "decision-only")
+    assert extract_witnesses(g, shapes, decomposition=decompose(g)) == (None, "decision-only")
+
+
+def test_large_book_with_one_chord_is_exact():
+    b = book(BookParams(2, 4, 10**4))
+    # a chord between the inner vertices of the last two pages, which the
+    # ear search reaches only after it has grown the book through the rest
+    u, v = [x for x in range(b.vertex_count) if len(b.adjacency[x]) == 2][-2:]
+    g = build(b.vertex_count, list(b.edges) + [(u, v)])
+    d = decide(g, witnesses=True)
+    assert isinstance(d, DistinctLengths) and d.shapes == (OtherShape("degree-profile"),)
+    assert_exact_pair(g, (d.witness_a, d.witness_b), d.witness_status)
+    assert [len(d.witness_a), len(d.witness_b)] == [3, 5]
+
+
+@st.composite
+def two_connected_graphs(draw):
+    """A 2-connected graph of up to 60 vertices by ear decomposition: a
+    cycle or an equal-path book, then ears between two distinct vertices
+    (a chord is an ear of length 1), some of them hub-to-hub ears of
+    page length that grow the book; ids and edge order shuffled."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 5))
+        base = book(BookParams(k, 2 * k, draw(st.integers(1, 50 // k))))
+    else:
+        k, base = None, cycle(draw(st.integers(3, 30)))
+    n = base.vertex_count
+    edges = set(base.edges)
+    for _ in range(draw(st.integers(0, 6))):
+        if k is not None and draw(st.booleans()):
+            a, b, length = 0, k, k  # book(...) puts its hubs at 0 and k
+        else:
+            a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            length = draw(st.integers(1, 8))
+        if a == b or n + length - 1 > 60 or (length == 1 and (min(a, b), max(a, b)) in edges):
+            continue
+        chain = [a, *range(n, n + length - 1), b]
+        n += length - 1
+        edges.update((min(e), max(e)) for e in zip(chain, chain[1:]))
+    perm = draw(st.permutations(range(n)))
+    return build(n, draw(st.permutations([(perm[u], perm[v]) for u, v in edges])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_connected_graphs())
+def test_every_rejection_of_a_large_block_is_exact(g):
+    assert len(decompose(g).cycle_blocks) == 1
+    d = decide(g, witnesses=True)
+    if isinstance(d, DistinctLengths):
+        assert_exact_pair(g, (d.witness_a, d.witness_b), d.witness_status)
 
 
 def test_theta_witnesses_from_hand_made_shape():
@@ -342,6 +418,16 @@ def test_cross_block_pair_keyed_by_cycle_length_not_stated_r():
     g = wedge(WedgeSpec((cycle(3), cycle(3))))
     shapes = (CycleShape(3), CycleShape(4))  # the second triangle claims r = 4
     assert extract_witnesses(g, shapes) == (None, "decision-only")
+
+
+@pytest.mark.parametrize("claim", [CycleShape(4), BookShape(2, 1)])
+def test_hand_made_well_shaped_claim_on_misshapen_block_gives_no_pair(claim):
+    # a K4 block called a cycle or a book once gave a ValueError, or a
+    # two-vertex "cycle" from its chains reported as exact
+    g = wedge(WedgeSpec((complete(4), cycle(3))))
+    shapes = (claim, CycleShape(3))
+    assert extract_witnesses(g, shapes) == (None, "decision-only")
+    assert extract_witnesses(g, shapes, decomposition=decompose(g)) == (None, "decision-only")
 
 
 def test_other_shape_chains_stay_out_of_eq_and_repr():
