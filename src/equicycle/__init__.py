@@ -44,14 +44,12 @@ from .generators import (
 from .graph import (
     Graph,
     build,
-    connected_components,
     degree,
-    is_connected,
     parse_edge_list,
     serialize_edge_list,
     subdivide,
 )
-from .oracle import CycleReport, SearchBudget, circumference, cycle_spectrum, girth
+from .oracle import CycleReport, SearchBudget, cycle_spectrum, girth
 from .recognition import (
     Acyclic,
     AllCyclesEqual,

@@ -8,6 +8,8 @@ rejection (failed --expect), 2 usage or input errors.
 """
 
 import argparse
+import functools
+import gc
 import json
 import sys
 from dataclasses import asdict
@@ -199,6 +201,7 @@ def _positive_int(text):
     return int(text)
 
 
+@functools.cache  # built on the first main() call, not at import
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="equicycle",
@@ -255,11 +258,18 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # The verbs make no reference cycles, so the cyclic collector would
+    # only rescan the graph being built; the caller's setting is restored.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ remapped on parse and the original labels are retained on the graph for
 reporting.
 """
 
-from collections import deque
 from operator import eq
 
 from .errors import (
@@ -70,16 +69,6 @@ class Graph:
         return f"Graph({self.vertex_count}, {self.edge_count} edges)"
 
 
-def _normalize_pair(u, v, vertex_count):
-    if not (0 <= u < vertex_count):
-        raise BadVertexError(u, vertex_count)
-    if not (0 <= v < vertex_count):
-        raise BadVertexError(v, vertex_count)
-    if u == v:
-        raise SelfLoopError(u)
-    return (u, v) if u < v else (v, u)
-
-
 def build(vertex_count, edge_pairs, labels=None):
     """Validate and construct a Graph from explicit edge pairs.
 
@@ -89,7 +78,13 @@ def build(vertex_count, edge_pairs, labels=None):
     seen = set()
     edges = []
     for u, v in edge_pairs:
-        e = _normalize_pair(u, v, vertex_count)
+        if not (0 <= u < vertex_count):
+            raise BadVertexError(u, vertex_count)
+        if not (0 <= v < vertex_count):
+            raise BadVertexError(v, vertex_count)
+        if u == v:
+            raise SelfLoopError(u)
+        e = (u, v) if u < v else (v, u)
         if e in seen:
             raise DuplicateEdgeError(u, v)
         seen.add(e)
@@ -101,32 +96,6 @@ def degree(g, v):
     if not (0 <= v < g.vertex_count):
         raise BadVertexError(v, g.vertex_count)
     return len(g.adjacency[v])
-
-
-def connected_components(g):
-    """Partition vertices into components, each a sorted list, ordered
-    by least contained vertex."""
-    seen = [False] * g.vertex_count
-    comps = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
-
-
-def is_connected(g):
-    return len(connected_components(g)) <= 1
 
 
 def subdivide(g, e, t):

@@ -1,10 +1,10 @@
 """Ground-truth cycle analysis by exhaustive search.
 
 girth() is polynomial (per-root BFS) and exempt from the budget;
-cycle_spectrum() and circumference() enumerate all simple cycles and
-are guarded by a SearchBudget.  cycle_spectrum() backs the `oracle`
-verb and is the independent verifier for the structural decision
-procedure; neither the decision nor its witness cycles use this module.
+cycle_spectrum() enumerates all simple cycles and is guarded by a
+SearchBudget.  It backs the `oracle` verb and is the independent
+verifier for the structural decision procedure; neither the decision
+nor its witness cycles use this module.
 """
 
 from collections import deque
@@ -129,8 +129,3 @@ def cycle_spectrum(g, budget=None):
         lengths=lengths,
         witnesses=witnesses,
     )
-
-
-def circumference(g, budget=None):
-    """Length of the longest cycle, or None if acyclic."""
-    return cycle_spectrum(g, budget).circumference

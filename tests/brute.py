@@ -9,6 +9,7 @@ for the faster ones.
 """
 
 import random
+from collections import deque
 
 from equicycle import (
     BookShape,
@@ -100,6 +101,33 @@ def edge_on_some_cycle(g, e):
     return False
 
 
+def connected_components(g):
+    """Partition vertices into components, each a sorted list, ordered
+    by least contained vertex: a BFS, independent of the library's
+    Hopcroft-Tarjan component count."""
+    seen = [False] * g.vertex_count
+    comps = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        comp = []
+        queue = deque([start])
+        seen[start] = True
+        while queue:
+            x = queue.popleft()
+            comp.append(x)
+            for y in g.adjacency[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+def is_connected(g):
+    return len(connected_components(g)) <= 1
+
+
 def is_simple_cycle(g, seq):
     """Validate a witness: distinct vertices, consecutive adjacency,
     closing edge present."""
@@ -142,6 +170,11 @@ def blockwise_spectrum_check(g, budget=None):
         sub, _ = block.to_graph()
         union.update(cycle_spectrum(sub, budget).lengths)
     return whole == union
+
+
+def circumference(g, budget=None):
+    """Length of the longest cycle, or None if acyclic."""
+    return cycle_spectrum(g, budget).circumference
 
 
 def reference_cycle_spectrum(g, budget=None):

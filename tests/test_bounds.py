@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from equicycle import (
@@ -12,6 +14,7 @@ from equicycle import (
     certify_graph,
     cycle,
     decide,
+    decompose,
     extremal,
     max_edges,
     max_edges_any_r,
@@ -19,7 +22,7 @@ from equicycle import (
     wedge,
 )
 
-from brute import graph_cycle_lengths
+from brute import graph_cycle_lengths, is_connected
 
 
 def test_max_edges_examples():
@@ -157,6 +160,21 @@ def test_certify_graph_checks_premises():
     disconnected = build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(BadRangeError):
         certify_graph(disconnected)
+
+
+def test_certify_graph_connected_premise_matches_bfs():
+    # certify_graph reads connectivity from decompose's component count
+    for n in (4, 5):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = build(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            if is_connected(g):
+                certify_graph(g)
+            else:
+                with pytest.raises(BadRangeError, match="connected graph"):
+                    certify_graph(g)
+    empty = build(0, [])
+    assert is_connected(empty) and decompose(empty).component_count <= 1
 
 
 def test_certify_graph_without_r():

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import pathlib
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicycle import complete, parse_edge_list, serialize_edge_list, wedge, WedgeSpec, cycle
+from equicycle import cli
 from equicycle.cli import main
 
 from brute import is_simple_cycle
+from test_golden import COMMANDS, FILE_COMMANDS, corpus, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 PETERSEN = str(GOLDEN / "petersen.edges")
@@ -309,3 +312,54 @@ def test_byte_identical_runs(bowtie_file, capsys):
     first = capsys.readouterr().out
     main(["check", bowtie_file, "--json"])
     assert capsys.readouterr().out == first
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the body with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["exit_0", "exit_2", "raises"])
+def test_main_leaves_collector_as_found(monkeypatch, collecting, outcome):
+    def unexpected(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    if outcome == "raises":
+        monkeypatch.setattr(cli, "decide", unexpected)
+    name = "bad_self_loop.edges" if outcome == "exit_2" else "k4.edges"
+    argv = ["check", str(GOLDEN / name), "--witness"]
+    with collector(collecting):
+        if outcome == "raises":
+            with pytest.raises(RuntimeError, match="unexpected"):
+                main(argv)
+        else:
+            assert main(argv) == (2 if outcome == "exit_2" else 0)
+        assert gc.isenabled() is collecting
+
+
+def test_verbs_leave_no_cyclic_garbage():
+    # main() pauses the cyclic collector during a verb, which is safe
+    # because no verb makes reference cycles: once one-time state (the
+    # parser, lazy imports) exists, no golden command line, exit 2
+    # included, leaves anything for the collector
+    lines = [[verb, p.name, *flags] for p in corpus() for verb, *flags in FILE_COMMANDS]
+    lines += [line.split() for line in COMMANDS]
+    for argv in lines:
+        run(argv)
+    gc.collect()
+    with collector(False):
+        gc.freeze()  # each collect below then scans only what the verb left
+        try:
+            for argv in lines:
+                run(argv)
+                assert gc.collect() == 0, " ".join(argv)
+        finally:
+            gc.unfreeze()
+        assert gc.collect() == 0  # nor a cycle through older objects

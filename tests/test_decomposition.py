@@ -10,7 +10,6 @@ from equicycle import (
     book,
     bridges,
     build,
-    connected_components,
     cycle,
     cycle_spectrum,
     decompose,
@@ -18,7 +17,12 @@ from equicycle import (
     wedge,
 )
 
-from brute import blockwise_spectrum_check, edge_on_some_cycle, random_connected_edges
+from brute import (
+    blockwise_spectrum_check,
+    connected_components,
+    edge_on_some_cycle,
+    random_connected_edges,
+)
 from structured import structured_graphs
 
 

@@ -10,13 +10,12 @@ from equicycle import (
     book,
     complete,
     complete_bipartite,
-    connected_components,
     cycle,
     path,
     wedge,
 )
 
-from brute import graph_cycle_lengths
+from brute import connected_components, graph_cycle_lengths
 
 
 def test_cycle():

@@ -13,7 +13,6 @@ from equicycle import (
     book,
     build,
     complete,
-    connected_components,
     cycle,
     cycle_spectrum,
     degree,
@@ -22,8 +21,9 @@ from equicycle import (
     serialize_edge_list,
     subdivide,
 )
+from equicycle.graph import _parse_bulk
 
-from brute import graph_cycle_lengths, reference_parse_edge_list
+from brute import connected_components, graph_cycle_lengths, reference_parse_edge_list
 
 
 def test_build_triangle():
@@ -149,6 +149,38 @@ def test_parse_errors_carry_line_numbers(text, line):
 def test_roundtrip():
     for g in (cycle(5), book(BookParams(2, 4, 4)), build(4, []), path(0)):
         assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+@st.composite
+def labelled_edge_lists(draw):
+    """Distinct edges on distinct non-negative labels, in any
+    orientation, as the pairs and as headerless `u v` lines."""
+    labels = draw(st.lists(st.integers(0, 10**12), min_size=2, max_size=12, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+                          .filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=30, unique_by=frozenset))
+    return pairs, "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_edge_lists(), st.data())
+def test_parse_serialize_roundtrip_keeps_labelled_edges(case, data):
+    pairs, text = case
+    assert _parse_bulk(text) is not None  # the bulk reader takes this layout
+    g = parse_edge_list(text)
+    names = g.labels or range(g.vertex_count)
+    assert {frozenset((names[u], names[v])) for u, v in g.edges} == set(map(frozenset, pairs))
+    assert parse_edge_list(serialize_edge_list(g)) == g
+    # comments, blank lines and CRLF send the same edges through the line loop
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    lines = text.splitlines()
+    extras = data.draw(st.lists(st.sampled_from(["# comment", "#", "", "  "]), max_size=3))
+    for extra in ["# comment", *extras]:
+        lines.insert(data.draw(st.integers(0, len(lines))), extra)
+    decorated = end.join(lines) + end
+    assert _parse_bulk(decorated) is None
+    h = parse_edge_list(decorated)
+    assert (h.vertex_count, h.adjacency, h.labels) == (g.vertex_count, g.adjacency, g.labels)
 
 
 def test_isolated_vertices_survive_header():

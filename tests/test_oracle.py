@@ -13,7 +13,6 @@ from equicycle import (
     WedgeSpec,
     book,
     build,
-    circumference,
     complete,
     complete_bipartite,
     cycle,
@@ -25,6 +24,7 @@ from equicycle import (
 )
 
 from brute import (
+    circumference,
     graph_cycle_lengths,
     is_simple_cycle,
     random_connected_edges,
