@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .decomposition import decompose
 from .errors import BadRangeError
 from .generators import BookParams, WedgeSpec, book, cycle, path, wedge
-from .oracle import cycle_spectrum
+from .recognition import Acyclic, AllCyclesEqual, decide
 
 RULE_WITH_R = "single-cycle-length edge bound for known r"
 RULE_ANY_R = "single-cycle-length edge bound 2n-4 (any r)"
@@ -52,14 +52,10 @@ def max_edges(n, r):
     if n < r:
         raise BadRangeError(f"an {r}-cycle does not fit in {n} vertices")
     if r % 2 == 0:
-        if n < 4:
-            raise BadRangeError(f"even-r bound needs n >= 4, got {n}")
         half = r // 2
         p = (n - half - 1) // (half - 1)
         c = n - 2 - (half - 1) * (p + 1)
         return BoundReport(n, r, n - 1 + p, p, c)
-    if n < 3:
-        raise BadRangeError(f"odd-r bound needs n >= 3, got {n}")
     p = (n - 1) // (r - 1)
     c = n - 1 - p * (r - 1)
     return BoundReport(n, r, n - 1 + p, p, c)
@@ -110,14 +106,18 @@ def certify_distinct(n, m, r=None):
     return Certificate(n, m, r, verdict, rep.bound, rule, premises)
 
 
-def certify_graph(g, r=None, budget=None):
+def certify_graph(g, r=None):
     """Certificate for a concrete graph, with premises checked: the
     graph must be connected, and when r is given some cycle of length r
-    must exist (verified via the oracle)."""
-    if decompose(g).component_count > 1:
+    must exist.  decide settles that premise in linear time: an acyclic
+    graph, or one whose cycles all have another length, has no r-cycle.
+    A graph that decide rejects is not searched for an r-cycle, since
+    it already has two cycle lengths, the certificate's conclusion."""
+    d = decompose(g)
+    if d.component_count > 1:
         raise BadRangeError("certificate premises require a connected graph")
     if r is not None:
-        report = cycle_spectrum(g, budget)
-        if r not in report.lengths:
+        verdict = decide(g, decomposition=d)
+        if isinstance(verdict, Acyclic) or (isinstance(verdict, AllCyclesEqual) and verdict.r != r):
             raise BadRangeError(f"graph has no cycle of length {r}")
     return certify_distinct(g.vertex_count, g.edge_count, r)

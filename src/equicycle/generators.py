@@ -1,7 +1,7 @@
 """Named graph families: cycles, paths, complete graphs, generalized
 books, and wedge sums."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadParamsError, TooSmallError
 from .graph import Graph, build
@@ -40,17 +40,10 @@ class BookParams:
 
 @dataclass(frozen=True)
 class WedgeSpec:
-    """Summands of a wedge sum with one base vertex each; all base
-    vertices are identified into a single vertex.  Omitted bases
-    default to vertex 0."""
+    """Summands of a wedge sum; the vertex 0 of every summand is
+    identified into a single vertex."""
 
     summands: tuple
-    base_vertices: tuple = field(default=None)
-
-    def bases(self):
-        if self.base_vertices is None:
-            return (0,) * len(self.summands)
-        return self.base_vertices
 
 
 def cycle(m):
@@ -102,34 +95,22 @@ def book(params):
 
 
 def wedge(spec):
-    """Wedge sum: disjoint union with every base vertex identified into
-    one vertex.  With a single summand this is the identity."""
+    """Wedge sum: disjoint union with every summand's vertex 0
+    identified into one vertex, the result's vertex 0.  With a single
+    summand this is the identity."""
     summands = spec.summands
     if not summands:
         raise BadParamsError("wedge needs at least one summand")
-    bases = spec.bases()
-    if len(bases) != len(summands):
-        raise BadParamsError("one base vertex per summand required")
-    for g, b in zip(summands, bases):
-        if not (0 <= b < g.vertex_count):
-            raise BadParamsError(f"base vertex {b} invalid for {g!r}")
+    for g in summands:
+        if g.vertex_count == 0:
+            raise BadParamsError(f"base vertex 0 invalid for {g!r}")
 
-    first = summands[0]
-    merged_base = bases[0]
-    edges = list(first.edges)
-    total = first.vertex_count
-    for g, b in zip(summands[1:], bases[1:]):
-        offset = total
-        mapping = []
-        k = offset
-        for v in range(g.vertex_count):
-            if v == b:
-                mapping.append(merged_base)
-            else:
-                mapping.append(k)
-                k += 1
+    edges = list(summands[0].edges)
+    total = summands[0].vertex_count
+    for g in summands[1:]:
+        # vertex 0 stays 0; vertex v > 0 follows the vertices placed so far
+        offset = total - 1
         total += g.vertex_count - 1
         for u, v in g.edges:
-            mu, mv = mapping[u], mapping[v]
-            edges.append((mu, mv) if mu < mv else (mv, mu))
+            edges.append((u + offset if u else 0, v + offset))
     return Graph(total, edges)

@@ -8,14 +8,16 @@ blocks implying different r, forces two distinct cycle lengths.
 The decision is one linear pass: Hopcroft-Tarjan cuts the edges into
 block slices, and each slice is classified from its edge count, vertex
 count and degree profile, with hub-to-hub chains walked only in a
-two-hub block.  No Block is built on the way.
+two-hub block.  No Block is built on the way.  A given decomposition's
+blocks go through the same classifier, so every block carries its own
+shape, and that shape decides where the block's witnesses come from.
 
-Every rejection can be given two witness cycles of distinct lengths, in
-linear time and with no search budget.  They come from the hub-to-hub
-chains of a two-hub block; from an ear search in a block whose degree
-profile has any other number of hubs (a cycle grown ear by ear into an
-equal-path book until an ear breaks it); or, when every block is
-well-shaped, from two blocks of different r.
+Every rejection is given two witness cycles of distinct lengths, in
+linear time and with no search budget.  They come from the first
+misshapen block: from its hub-to-hub chains when it has two hubs, and
+otherwise from an ear search (a cycle grown ear by ear into an
+equal-path book until an ear breaks it).  When every block is
+well-shaped, they come from two blocks of different r.
 """
 
 from collections import Counter
@@ -73,7 +75,8 @@ class AllCyclesEqual:
 @dataclass(frozen=True)
 class DistinctLengths:
     """witness_status is 'exact' when two concrete cycles of distinct
-    lengths are attached, 'decision-only' otherwise."""
+    lengths are attached, which decide(g, witnesses=True) always does,
+    and 'decision-only' when witnesses were not asked for."""
 
     witness_a: tuple | None = None
     witness_b: tuple | None = None
@@ -149,16 +152,16 @@ def classify_block(block):
 
 def _cycle_blocks(g, decomposition):
     """The component count, and each cycle block as a row (least vertex,
-    vertex count, edge list, shape, degrees), ordered by least vertex.
-    Without a decomposition the edge lists are Hopcroft-Tarjan's raw
-    slices, each classified as it is read; a degree-profile block keeps
-    its degree Counter in place of its edge list.  The rows of a
-    decomposition's blocks hold their edges, and no shape or degrees."""
-    if decomposition is not None:
-        return decomposition.component_count, [
-            (b.vertices[0], len(b.vertices), b.edges, None, None)
-            for b in decomposition.cycle_blocks]
-    comps, _, component_count = _biconnected_components(g.vertex_count, g.adjacency)
+    edge list, shape, degrees), ordered by least vertex.  The edge lists
+    are Hopcroft-Tarjan's raw slices, or a given decomposition's blocks,
+    each classified as it is read.  A degree-profile block keeps its
+    degree Counter in place of its edge list; other rows hold no
+    degrees."""
+    if decomposition is None:
+        comps, _, component_count = _biconnected_components(g.vertex_count, g.adjacency)
+    else:
+        comps = [b.edges for b in decomposition.cycle_blocks]
+        component_count = decomposition.component_count
     blocks = []
     for edges in comps:
         if len(edges) > 1:
@@ -170,17 +173,13 @@ def _cycle_blocks(g, decomposition):
             if shape is _DEGREE_PROFILE:
                 # the ear search reads the block through its degree Counter,
                 # whose keys are its vertex set, so the slice can go
-                blocks.append((least, size, None, shape, degrees))
+                blocks.append((least, None, shape, degrees))
             else:
-                blocks.append((least, size, edges, shape, None))
+                blocks.append((least, edges, shape, None))
     # stable: blocks that share their least vertex, a cut vertex, keep
     # the order in which the DFS closed them
     blocks.sort(key=itemgetter(0))
     return component_count, blocks
-
-
-def _shapes(blocks):
-    return tuple([shape or _classify(edges, size) for _, size, edges, shape, _ in blocks])
 
 
 def _cycle_witness(block):
@@ -374,39 +373,23 @@ def _common_r(shapes):
     return rs.pop() if len(rs) == 1 else None
 
 
-def _witness_pair(adj, blocks, shapes):
-    """Two simple cycles of distinct lengths, shorter first, or None.
-    blocks are _cycle_blocks rows; a Block is built only for a
+def _witness_pair(adj, blocks):
+    """Two simple cycles of distinct lengths, shorter first, from the
+    _cycle_blocks rows of a rejected graph; a Block is built only for a
     well-shaped block walked here."""
     # a single misshapen block always contains both lengths
-    for (least, size, edges, own, degrees), shape in zip(blocks, shapes):
-        if not isinstance(shape, OtherShape):
-            continue
-        if shape.chains is None and shape.reason in (
-                "endpoints-adjacent-structure", "unequal-path-lengths"):
-            shape = own or _classify(edges, size)  # a shape made by hand carries no chains
-            if not isinstance(shape, OtherShape):
-                continue  # the block is well-shaped after all
-        if shape.chains is not None:
+    for least, _, shape, degrees in blocks:
+        if degrees is not None:
+            return _ear_witness_pair(adj, degrees, least)
+        if shape.r is None:
             return _theta_witness_pair(shape.chains)
-        # a shape made by hand may call a well-shaped block misshapen
-        pair = _ear_witness_pair(adj, degrees or set(chain.from_iterable(edges)), least)
-        if pair is not None:
-            return pair
     # otherwise two well-shaped blocks disagree on r
     by_r = {}
-    for (_, size, edges, own, _), shape in zip(blocks, shapes):
-        if shape.r is None:
-            continue
-        # by the block's own shape: one made by hand may state a wrong r,
-        # or call a misshapen block well-shaped
-        own = own or _classify(edges, size)
-        if own.r is not None and own.r not in by_r:
-            witness = _cycle_witness if isinstance(own, CycleShape) else _book_witness
-            by_r[own.r] = witness(Block.of(edges))
-    if len(by_r) >= 2:
-        return by_r[min(by_r)], by_r[max(by_r)]
-    return None
+    for _, edges, shape, _ in blocks:
+        if shape.r not in by_r:
+            witness = _cycle_witness if isinstance(shape, CycleShape) else _book_witness
+            by_r[shape.r] = witness(Block.of(edges))
+    return by_r[min(by_r)], by_r[max(by_r)]
 
 
 def decide(g, witnesses=False, decomposition=None):
@@ -419,16 +402,16 @@ def decide(g, witnesses=False, decomposition=None):
     into block slices, and each slice is classified from its degree
     profile, walking hub-to-hub chains only in a two-hub block.
     decomposition, if given, must be decompose(g); its blocks are
-    classified in place of the slices.
+    classified in place of the slices, by the same loop.
 
     Pass witnesses=True to also attach a pair of cycles of distinct
-    lengths, shorter first, on rejection (status 'exact'; without
+    lengths, shorter first, to every rejection (status 'exact'; without
     witnesses the status is 'decision-only').  The pair costs linear
-    time and no budget: it comes from a two-hub block's chains, from an
-    ear search in a block of any other degree profile, or from two
-    blocks of different r.  It depends only on g, not on the order in
-    which a block's edges were found, so both decomposition paths give
-    the same pair.
+    time and no budget: it comes from the first misshapen block, by its
+    chains when it has two hubs and by an ear search otherwise, or from
+    two blocks of different r.  It depends only on g, not on the order
+    in which a block's edges were found, so both decomposition paths
+    give the same pair.
     """
     component_count, blocks = _cycle_blocks(g, decomposition)
     notes = ()
@@ -436,14 +419,13 @@ def decide(g, witnesses=False, decomposition=None):
         notes = ("input is disconnected; decided over all components",)
     if not blocks:
         return Acyclic(notes)
-    shapes = _shapes(blocks)
+    shapes = tuple([shape for _, _, shape, _ in blocks])
     r = _common_r(shapes)
     if r is not None:
         return AllCyclesEqual(r, shapes, notes)
-    pair = _witness_pair(g.adjacency, blocks, shapes) if witnesses else None
-    if pair is None:
+    if not witnesses:
         return DistinctLengths(None, None, "decision-only", shapes, notes)
-    return DistinctLengths(*pair, "exact", shapes, notes)
+    return DistinctLengths(*_witness_pair(g.adjacency, blocks), "exact", shapes, notes)
 
 
 def extract_witnesses(g, shapes=None, decomposition=None):
@@ -451,16 +433,15 @@ def extract_witnesses(g, shapes=None, decomposition=None):
 
     Returns ((cycle_a, cycle_b), 'exact'), the shorter cycle first, the
     same pair as decide(g, witnesses=True).  Raises NotRejectedError
-    when the graph is accepted or acyclic.  shapes, if given, stand in
-    for the blocks' own; a block they call misshapen but which has one
-    cycle length yields no pair, and with no other pair the result is
-    (None, 'decision-only').  decomposition, if given, must be
-    decompose(g).
+    when the graph is accepted or acyclic.  shapes and decomposition,
+    if given, must be decide(g).shapes and decompose(g); the blocks are
+    always classified here, and shapes that differ from theirs raise
+    ValueError.
     """
     _, blocks = _cycle_blocks(g, decomposition)
-    if shapes is None:
-        shapes = _shapes(blocks)
-    if not blocks or _common_r(shapes) is not None:
+    own = tuple([shape for _, _, shape, _ in blocks])
+    if shapes is not None and tuple(shapes) != own:
+        raise ValueError("shapes must be decide(g).shapes")
+    if not blocks or _common_r(own) is not None:
         raise NotRejectedError("graph does not contain two distinct cycle lengths")
-    pair = _witness_pair(g.adjacency, blocks, shapes)
-    return pair, "decision-only" if pair is None else "exact"
+    return _witness_pair(g.adjacency, blocks), "exact"

@@ -50,7 +50,7 @@ def test_bad_ranges():
     with pytest.raises(BadRangeError):
         max_edges(10, 2)
     with pytest.raises(BadRangeError):
-        max_edges(3, 4)  # even r needs n >= 4
+        max_edges(3, 4)  # a 4-cycle does not fit in 3 vertices
     with pytest.raises(BadRangeError):
         max_edges(5, 6)  # cycle does not fit
     with pytest.raises(BadRangeError):
@@ -160,6 +160,21 @@ def test_certify_graph_checks_premises():
     disconnected = build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(BadRangeError):
         certify_graph(disconnected)
+
+
+def test_certify_graph_reads_r_cycle_premise_from_decide():
+    # a 40-vertex book, far past the exhaustive oracle's default limit
+    g = extremal(40, 6)
+    assert certify_graph(g, 6).cited_bound == g.edge_count
+    with pytest.raises(BadRangeError, match="no cycle of length 4"):
+        certify_graph(g, 4)
+    with pytest.raises(BadRangeError, match="no cycle of length 3"):
+        certify_graph(path(4), 3)
+    # a rejected graph is not searched for the r-cycle: it already has two
+    # cycle lengths, so the certificate's conclusion holds without one
+    h = wedge(WedgeSpec((cycle(3), cycle(4))))
+    assert 5 not in graph_cycle_lengths(h)
+    assert certify_graph(h, 5).verdict == "must_contain_distinct_lengths"
 
 
 def test_certify_graph_connected_premise_matches_bfs():

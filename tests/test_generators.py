@@ -5,9 +5,11 @@ import pytest
 from equicycle import (
     BadParamsError,
     BookParams,
+    Graph,
     TooSmallError,
     WedgeSpec,
     book,
+    build,
     complete,
     complete_bipartite,
     cycle,
@@ -117,19 +119,26 @@ def test_wedge_counts_random_summands():
         assert len(connected_components(w)) == 1
 
 
+def based_at(g, b):
+    """g with vertices 0 and b swapped, so that the wedge bases it at b."""
+    swap = {0: b, b: 0}
+    return Graph(g.vertex_count, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
+
+
 def test_wedge_counts_invariant_under_base_choice():
     rng = random.Random(11)
     summands = (cycle(4), book(BookParams(2, 4, 3)), path(3))
     reference = wedge(WedgeSpec(summands))
     for _ in range(10):
         bases = tuple(rng.randrange(g.vertex_count) for g in summands)
-        w = wedge(WedgeSpec(summands, bases))
+        w = wedge(WedgeSpec(tuple(based_at(g, b) for g, b in zip(summands, bases))))
         assert w.vertex_count == reference.vertex_count
         assert w.edge_count == reference.edge_count
+        assert graph_cycle_lengths(w) == graph_cycle_lengths(reference) == {4}
 
 
 def test_wedge_validation():
     with pytest.raises(BadParamsError):
         wedge(WedgeSpec(()))
-    with pytest.raises(BadParamsError):
-        wedge(WedgeSpec((cycle(3),), (5,)))
+    with pytest.raises(BadParamsError, match="^base vertex 0 invalid for"):
+        wedge(WedgeSpec((cycle(3), build(0, []))))

@@ -155,6 +155,9 @@ def test_decide_witnesses_match_extract_witnesses(g):
     pair, status = extract_witnesses(g)
     assert (d.witness_a, d.witness_b, d.witness_status) == (*pair, status)
     assert_exact_pair(g, pair, status)
+    # the benchmark's call: shapes from decide on a given decomposition
+    dec = decompose(g)
+    assert extract_witnesses(g, decide(g, decomposition=dec).shapes, decomposition=dec) == (pair, status)
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,16 +338,6 @@ def test_over_budget_block_is_never_copied(monkeypatch):
     assert is_simple_cycle(g, d.witness_a) and is_simple_cycle(g, d.witness_b)
 
 
-@pytest.mark.parametrize("g", [cycle(4), book(BookParams(2, 4, 2)), book(BookParams(3, 6, 10**4))],
-                         ids=["C4", "B(2,4,2)", "B(3,6,10^4)"])
-def test_hand_made_degree_profile_of_well_shaped_block_gives_no_pair(g):
-    # the ear search grows the whole book (or finds only the cycle) and
-    # stops without a pair; it raises nothing
-    shapes = (OtherShape("degree-profile"),)
-    assert extract_witnesses(g, shapes) == (None, "decision-only")
-    assert extract_witnesses(g, shapes, decomposition=decompose(g)) == (None, "decision-only")
-
-
 def test_large_book_with_one_chord_is_exact():
     b = book(BookParams(2, 4, 10**4))
     # a chord between the inner vertices of the last two pages, which the
@@ -401,33 +394,34 @@ def test_theta_witnesses_from_hand_made_shape():
     assert extract_witnesses(g, shapes, decomposition=d) == extract_witnesses(g)
 
 
-def test_witnesses_shorter_first_when_hand_made_shapes_misstate_r():
-    g = wedge(WedgeSpec((cycle(3), cycle(4))))
-    shapes = (CycleShape(5), CycleShape(4))  # the triangle's block claims r = 5
-    pair, status = extract_witnesses(g, shapes)
-    assert status == "exact" and [len(c) for c in pair] == [3, 4]
+K4_C3 = wedge(WedgeSpec((complete(4), cycle(3))))
+C3_C4 = wedge(WedgeSpec((cycle(3), cycle(4))))
 
 
-def test_hand_made_other_shape_of_cycle_blocks_is_not_read_for_chains():
-    g = wedge(WedgeSpec((cycle(3), cycle(4))))
-    shapes = (OtherShape("unequal-path-lengths"), CycleShape(4))
-    assert extract_witnesses(g, shapes) == (None, "decision-only")
-
-
-def test_cross_block_pair_keyed_by_cycle_length_not_stated_r():
-    g = wedge(WedgeSpec((cycle(3), cycle(3))))
-    shapes = (CycleShape(3), CycleShape(4))  # the second triangle claims r = 4
-    assert extract_witnesses(g, shapes) == (None, "decision-only")
-
-
-@pytest.mark.parametrize("claim", [CycleShape(4), BookShape(2, 1)])
-def test_hand_made_well_shaped_claim_on_misshapen_block_gives_no_pair(claim):
-    # a K4 block called a cycle or a book once gave a ValueError, or a
-    # two-vertex "cycle" from its chains reported as exact
-    g = wedge(WedgeSpec((complete(4), cycle(3))))
-    shapes = (claim, CycleShape(3))
-    assert extract_witnesses(g, shapes) == (None, "decision-only")
-    assert extract_witnesses(g, shapes, decomposition=decompose(g)) == (None, "decision-only")
+@pytest.mark.parametrize("g, shapes", [
+    # a well-shaped block called degree-profile
+    (cycle(4), (OtherShape("degree-profile"),)),
+    (book(BookParams(2, 4, 2)), (OtherShape("degree-profile"),)),
+    (book(BookParams(3, 6, 10**4)), (OtherShape("degree-profile"),)),
+    # the triangle's block claims r = 5
+    (C3_C4, (CycleShape(5), CycleShape(4))),
+    # the triangle's block is called misshapen by its chains
+    (C3_C4, (OtherShape("unequal-path-lengths"), CycleShape(4))),
+    # an accepted graph whose second triangle claims r = 4
+    (wedge(WedgeSpec((cycle(3), cycle(3)))), (CycleShape(3), CycleShape(4))),
+    # a K4 block called a cycle or a book
+    (K4_C3, (CycleShape(4), CycleShape(3))),
+    (K4_C3, (BookShape(2, 1), CycleShape(3))),
+], ids=["degree-profile-C4", "degree-profile-B(2,4,2)", "degree-profile-B(3,6,10000)",
+        "misstated-r", "other-shape-of-cycle-block", "cross-block-stated-r",
+        "K4-called-cycle", "K4-called-book"])
+def test_shapes_other_than_the_blocks_own_raise(g, shapes):
+    # every block is classified by its own classifier; shapes are only
+    # checked against those, never read in their place
+    for d in (None, decompose(g)):
+        assert decide(g, decomposition=d).shapes != shapes
+        with pytest.raises(ValueError, match=r"must be decide\(g\)\.shapes"):
+            extract_witnesses(g, shapes, decomposition=d)
 
 
 def test_other_shape_chains_stay_out_of_eq_and_repr():
