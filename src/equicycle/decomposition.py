@@ -4,11 +4,15 @@ A cycle block is a biconnected component with at least 3 vertices,
 i.e. a block of the graph left after deleting all bridges and then all
 isolated vertices.  Disconnected inputs are handled per component and
 the results concatenated.
+
+Hopcroft-Tarjan keeps a vertex stack and an edge count, not an edge
+stack: a component closes as its top vertex u, the vertices popped
+below u and its edge count.  decompose lists each block's edges from
+its vertices below u, each popped once, so in linear time.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 
 from .graph import Graph
 
@@ -21,15 +25,14 @@ class Block:
     vertices: tuple
     edges: tuple
 
-    @classmethod
-    def of(cls, edges):
-        """The block of an edge slice in any order: sorted vertices and
-        sorted edges."""
-        return cls(tuple(sorted(set(chain.from_iterable(edges)))), tuple(sorted(edges)))
-
     def adjacency(self):
-        """Vertex -> neighbour list, each list ascending."""
-        return edge_adjacency(self.edges)
+        """Vertex -> neighbour list, each ascending if the edges are
+        sorted (u, v) pairs with u < v, as decompose gives them."""
+        adj = defaultdict(list)
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
 
     def to_graph(self):
         """Dense relabeling of the block; returns (graph, dense->parent
@@ -37,17 +40,6 @@ class Block:
         mapping = list(self.vertices)
         index = {v: i for i, v in enumerate(mapping)}
         return Graph(len(mapping), [(index[u], index[v]) for u, v in self.edges]), mapping
-
-
-def edge_adjacency(edges):
-    """Vertex -> neighbour list of sorted (u, v) pairs with u < v.  Each
-    list comes out ascending: a vertex meets its smaller neighbours in
-    pairs sorted before those that meet its larger ones."""
-    adj = defaultdict(list)
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 @dataclass(frozen=True)
@@ -59,40 +51,42 @@ class BlockDecomposition:
 
 
 def _biconnected_components(vertex_count, adjacency):
-    """Iterative Hopcroft-Tarjan.  Returns (edge lists per component,
-    each edge as (u, v) with u < v; articulation points; number of
-    connected components)."""
+    """Iterative Hopcroft-Tarjan.  Returns (each biconnected component
+    as (top u, list of the vertices below u, edge count) in closing
+    order; articulation points; number of connected components)."""
     disc = [0] * vertex_count  # 0 = unvisited, else 1-based time
     low = [0] * vertex_count
     cuts = set()
     comps = []
     timer = 1
     roots = 0  # one DFS per connected component
+    vstack = []
+    edges = 0  # seen and in no closed component
     for root in range(vertex_count):
         if disc[root]:
             continue
         roots += 1
         disc[root] = low[root] = timer
         timer += 1
-        # a frame's mark is the edge-stack height below its tree edge
-        frames = [(root, -1, iter(adjacency[root]), 0)]
-        estack = []
+        # a frame's marks: vertex-stack height and edge count below its tree edge
+        frames = [(root, -1, iter(adjacency[root]), 0, 0)]
         root_children = 0
         while frames:
-            v, parent, it, mark = frames[-1]
+            v, parent, it, vmark, emark = frames[-1]
             advanced = False
             for w in it:
                 if w == parent:
                     continue
                 if disc[w] == 0:
-                    frames.append((w, v, iter(adjacency[w]), len(estack)))
-                    estack.append((v, w) if v < w else (w, v))
+                    frames.append((w, v, iter(adjacency[w]), len(vstack), edges))
+                    vstack.append(w)
+                    edges += 1
                     disc[w] = low[w] = timer
                     timer += 1
                     advanced = True
                     break
                 if disc[w] < disc[v]:
-                    estack.append((v, w) if v < w else (w, v))
+                    edges += 1
                     if disc[w] < low[v]:
                         low[v] = disc[w]
             if advanced:
@@ -103,9 +97,10 @@ def _biconnected_components(vertex_count, adjacency):
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
-                    # the tree edge (u, v) and everything pushed after it
-                    comps.append(estack[mark:])
-                    del estack[mark:]
+                    # the tree edge (u, v) and everything seen after it
+                    comps.append((u, vstack[vmark:], edges - emark))
+                    del vstack[vmark:]
+                    edges = emark
                     if u == root:
                         root_children += 1
                     else:
@@ -118,14 +113,25 @@ def _biconnected_components(vertex_count, adjacency):
 def decompose(g):
     """Full decomposition: bridges, cut vertices, and cycle blocks
     ordered by least contained vertex."""
-    comps, cuts, component_count = _biconnected_components(g.vertex_count, g.adjacency)
+    adj = g.adjacency
+    comps, cuts, component_count = _biconnected_components(g.vertex_count, adj)
     bridges_ = []
     blocks = []
-    for comp in comps:
-        if len(comp) == 1:
-            bridges_.append(comp[0])
-        else:
-            blocks.append(Block.of(comp))
+    for u, below, m in comps:
+        if m == 1:
+            v = below[0]
+            bridges_.append((u, v) if u < v else (v, u))
+            continue
+        below.append(u)
+        below.sort()
+        inside = set(below)
+        # the edges between block vertices, each read once from its smaller
+        # end or its end below u (u's list runs into other blocks); they
+        # come out sorted but for u's, which sort merges in
+        edges = [(y, z) if y < z else (z, y) for y in below if y != u
+                 for z in adj[y] if (z > y or z == u) and z in inside]
+        edges.sort()
+        blocks.append(Block(tuple(below), tuple(edges)))
     blocks.sort(key=lambda b: b.vertices[0])
     return BlockDecomposition(
         bridges=tuple(sorted(bridges_)),

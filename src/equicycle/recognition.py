@@ -5,12 +5,12 @@ generalized book B(r/2, r, p): p+1 internally disjoint paths of equal
 length r/2 between two hub vertices.  Any other block shape, or two
 blocks implying different r, forces two distinct cycle lengths.
 
-The decision is one linear pass: Hopcroft-Tarjan cuts the edges into
-block slices, and each slice is classified from its edge count, vertex
-count and degree profile, with hub-to-hub chains walked only in a
-two-hub block.  No Block is built on the way.  A given decomposition's
-blocks go through the same classifier, so every block carries its own
-shape, and that shape decides where the block's witnesses come from.
+The decision is one linear pass: Hopcroft-Tarjan closes each block as
+its top vertex, the vertices below it and its edge count, and the
+block is classified from those and the graph's adjacency alone, with
+hub-to-hub chains walked only in a two-hub block.  A given
+decomposition's blocks go through the same classifier, so every block
+carries its own shape, which decides where its witnesses come from.
 
 Every rejection is given two witness cycles of distinct lengths, in
 linear time and with no search budget.  They come from the first
@@ -22,10 +22,10 @@ well-shaped, they come from two blocks of different r.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
-from .decomposition import Block, _biconnected_components, decompose, edge_adjacency
+from .decomposition import _biconnected_components, decompose
 from .errors import NotABlockError, NotRejectedError
 
 
@@ -90,41 +90,36 @@ class Acyclic:
     notes: tuple = ()
 
 
-def _hub_chains(adj, a):
+def _hub_chains(adj, degrees, a):
     """Each maximal degree-2 chain leaving hub a, as the vertex sequence
-    a..endpoint, in the order of a's neighbour list.  In a two-hub block
-    every chain ends at the other hub: a chain back to a would make a a
-    cut vertex, and a degree-2 vertex on no chain would lie on a cycle
-    of degree-2 vertices alone."""
+    a..endpoint (in a cycle, a..a), in the order of a's neighbour list.
+    degrees maps the block's vertices to their block degrees, and the
+    block's edges are the graph's (adj) between them.  In a two-hub
+    block every chain ends at the other hub: a chain back to a would
+    make a a cut vertex, and a degree-2 vertex on no chain would lie on
+    a cycle of degree-2 vertices alone."""
     chains = []
     for w in adj[a]:
-        chain = [a, w]
-        prev, cur = a, w
-        while len(adj[cur]) == 2:
-            x, y = adj[cur]
-            nxt = y if x == prev else x
-            chain.append(nxt)
-            prev, cur = cur, nxt
-        chains.append(chain)
+        if w in degrees:
+            chain = [a, w]
+            prev, cur = a, w
+            while cur != a and degrees[cur] == 2:
+                x, y = [z for z in adj[cur] if z in degrees]
+                prev, cur = cur, y if x == prev else x
+                chain.append(cur)
+            chains.append(chain)
     return chains
 
 
-def _classify(edges, vertex_count, degrees=None):
-    """Shape of one cycle block given as its edge list, in any order,
-    and its vertex count.  degrees, the Counter of its edges' ends, is
-    counted here unless given."""
-    # a block is 2-connected, so every degree is at least 2: as many edges
-    # as vertices leaves every degree at exactly 2, a single cycle
-    if len(edges) == vertex_count:
-        return CycleShape(vertex_count)
-    if degrees is None:
-        degrees = Counter(chain.from_iterable(edges))
-    hubs = [v for v, d in degrees.items() if d > 2]
+def _classify(adj, degrees):
+    """Shape of a cycle block that is not a cycle, from its vertex ->
+    block degree map; adj is the graph's adjacency or the block's."""
+    hubs = list(islice((v for v, d in degrees.items() if d > 2), 3))
     # two hubs have equal degree: a chain of degree-2 vertices from a hub
     # back to itself would make that hub a cut vertex
     if len(hubs) != 2:
         return _DEGREE_PROFILE
-    chains = _hub_chains(edge_adjacency(sorted(edges)), min(hubs))
+    chains = _hub_chains(adj, degrees, min(hubs))
     lens = [len(c) - 1 for c in chains]
     if len(set(lens)) > 1:
         if 1 in lens:
@@ -138,6 +133,16 @@ def _classify(edges, vertex_count, degrees=None):
     return BookShape(k, len(chains) - 1)
 
 
+def _block_row(adj, block):
+    """A Block's members and shape, as _cycle_blocks rows hold them."""
+    # a block is 2-connected, so every degree is at least 2: as many edges
+    # as vertices leaves every degree at exactly 2, a single cycle
+    if len(block.edges) == len(block.vertices):
+        return block.vertices, CycleShape(len(block.vertices))
+    degrees = Counter(chain.from_iterable(block.edges))
+    return degrees, _classify(adj, degrees)
+
+
 def classify_block(block):
     """Classify one cycle block as CycleShape, BookShape or OtherShape.
 
@@ -147,52 +152,47 @@ def classify_block(block):
     d = decompose(block.to_graph()[0])
     if d.component_count != 1 or d.bridges or len(d.cycle_blocks) != 1:
         raise NotABlockError("not a 2-connected block of at least 3 vertices")
-    return _classify(block.edges, len(block.vertices))
+    return _block_row(block.adjacency(), block)[1]
 
 
 def _cycle_blocks(g, decomposition):
     """The component count, and each cycle block as a row (least vertex,
-    edge list, shape, degrees), ordered by least vertex.  The edge lists
-    are Hopcroft-Tarjan's raw slices, or a given decomposition's blocks,
-    each classified as it is read.  A degree-profile block keeps its
-    degree Counter in place of its edge list; other rows hold no
-    degrees."""
-    if decomposition is None:
-        comps, _, component_count = _biconnected_components(g.vertex_count, g.adjacency)
-    else:
-        comps = [b.edges for b in decomposition.cycle_blocks]
-        component_count = decomposition.component_count
+    members, shape), ordered by least vertex, from Hopcroft-Tarjan or a
+    given decomposition.  members, the block's vertex -> degree map or,
+    for a cycle, its vertices, is what the witness path reads of it."""
+    adj = g.adjacency
     blocks = []
-    for edges in comps:
-        if len(edges) > 1:
-            vertices = set(chain.from_iterable(edges))
-            least, size = min(vertices), len(vertices)
-            del vertices  # freed before the degree count, a second vertex set, is built
-            degrees = None if len(edges) == size else Counter(chain.from_iterable(edges))
-            shape = _classify(edges, size, degrees)
-            if shape is _DEGREE_PROFILE:
-                # the ear search reads the block through its degree Counter,
-                # whose keys are its vertex set, so the slice can go
-                blocks.append((least, None, shape, degrees))
+    if decomposition is None:
+        comps, _, component_count = _biconnected_components(g.vertex_count, adj)
+        given = {}  # a top vertex's edges in the blocks closed so far
+        for u, below, m in comps:
+            if m == 1:  # a bridge
+                given[u] = given.get(u, 0) + 1
+            elif m == len(below) + 1:  # a cycle
+                given[u] = given.get(u, 0) + 2
+                below.append(u)
+                blocks.append((min(below), below, CycleShape(m)))
             else:
-                blocks.append((least, edges, shape, None))
+                # a vertex below u has each edge here or in a block closed
+                # earlier with it on top; u has the rest of the 2m ends
+                degrees = {x: len(adj[x]) - given.get(x, 0) for x in below}
+                top = degrees[u] = 2 * m - sum(degrees.values())
+                given[u] = given.get(u, 0) + top
+                blocks.append((min(degrees), degrees, _classify(adj, degrees)))
+    else:
+        component_count = decomposition.component_count
+        for block in decomposition.cycle_blocks:
+            blocks.append((block.vertices[0], *_block_row(adj, block)))
     # stable: blocks that share their least vertex, a cut vertex, keep
     # the order in which the DFS closed them
     blocks.sort(key=itemgetter(0))
     return component_count, blocks
 
 
-def _cycle_witness(block):
-    """Vertex sequence of a CycleShape block, canonical start/direction."""
-    adj = block.adjacency()
-    start = block.vertices[0]
-    seq = [start, min(adj[start])]
-    while True:
-        x, y = adj[seq[-1]]
-        nxt = y if x == seq[-2] else x
-        if nxt == start:
-            return tuple(seq)
-        seq.append(nxt)
+def _cycle_witness(adj, vertices, start):
+    """Vertex sequence of a cycle block from its least vertex start,
+    towards start's smaller neighbour."""
+    return tuple(_hub_chains(adj, dict.fromkeys(vertices, 2), start)[0][:-1])
 
 
 def _chain_pair_cycle(c1, c2):
@@ -200,10 +200,8 @@ def _chain_pair_cycle(c1, c2):
     return tuple(c1[:-1] + list(reversed(c2[1:])))
 
 
-def _book_witness(block):
-    adj = block.adjacency()
-    a = next(v for v in block.vertices if len(adj[v]) > 2)
-    chains = _hub_chains(adj, a)
+def _book_witness(adj, degrees):
+    chains = _hub_chains(adj, degrees, min(v for v, d in degrees.items() if d > 2))
     return _chain_pair_cycle(chains[0], chains[1])
 
 
@@ -375,20 +373,21 @@ def _common_r(shapes):
 
 def _witness_pair(adj, blocks):
     """Two simple cycles of distinct lengths, shorter first, from the
-    _cycle_blocks rows of a rejected graph; a Block is built only for a
-    well-shaped block walked here."""
+    _cycle_blocks rows of a rejected graph."""
     # a single misshapen block always contains both lengths
-    for least, _, shape, degrees in blocks:
-        if degrees is not None:
-            return _ear_witness_pair(adj, degrees, least)
+    for least, members, shape in blocks:
+        if shape is _DEGREE_PROFILE:
+            return _ear_witness_pair(adj, members, least)
         if shape.r is None:
             return _theta_witness_pair(shape.chains)
     # otherwise two well-shaped blocks disagree on r
     by_r = {}
-    for _, edges, shape, _ in blocks:
+    for least, members, shape in blocks:
         if shape.r not in by_r:
-            witness = _cycle_witness if isinstance(shape, CycleShape) else _book_witness
-            by_r[shape.r] = witness(Block.of(edges))
+            if isinstance(shape, CycleShape):
+                by_r[shape.r] = _cycle_witness(adj, members, least)
+            else:
+                by_r[shape.r] = _book_witness(adj, members)
     return by_r[min(by_r)], by_r[max(by_r)]
 
 
@@ -398,11 +397,12 @@ def decide(g, witnesses=False, decomposition=None):
     Returns AllCyclesEqual(r, ...) iff every cycle block is C_r or
     B(r/2, r, p) for one common r, Acyclic when there are no cycle
     blocks, and DistinctLengths otherwise.  The decision never
-    enumerates cycles: one Hopcroft-Tarjan pass cuts the graph's edges
-    into block slices, and each slice is classified from its degree
-    profile, walking hub-to-hub chains only in a two-hub block.
+    enumerates cycles: one Hopcroft-Tarjan pass closes each block as
+    its top vertex, the vertices below it and its edge count, and each
+    block is classified from those and g.adjacency, by its counts and
+    degree profile, walking hub-to-hub chains only in a two-hub block.
     decomposition, if given, must be decompose(g); its blocks are
-    classified in place of the slices, by the same loop.
+    classified in place of Hopcroft-Tarjan's, by the same classifier.
 
     Pass witnesses=True to also attach a pair of cycles of distinct
     lengths, shorter first, to every rejection (status 'exact'; without
@@ -419,7 +419,7 @@ def decide(g, witnesses=False, decomposition=None):
         notes = ("input is disconnected; decided over all components",)
     if not blocks:
         return Acyclic(notes)
-    shapes = tuple([shape for _, _, shape, _ in blocks])
+    shapes = tuple([shape for _, _, shape in blocks])
     r = _common_r(shapes)
     if r is not None:
         return AllCyclesEqual(r, shapes, notes)
@@ -439,7 +439,7 @@ def extract_witnesses(g, shapes=None, decomposition=None):
     ValueError.
     """
     _, blocks = _cycle_blocks(g, decomposition)
-    own = tuple([shape for _, _, shape, _ in blocks])
+    own = tuple([shape for _, _, shape in blocks])
     if shapes is not None and tuple(shapes) != own:
         raise ValueError("shapes must be decide(g).shapes")
     if not blocks or _common_r(own) is not None:

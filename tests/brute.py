@@ -141,6 +141,13 @@ def is_simple_cycle(g, seq):
     return True
 
 
+def based_at(g, b):
+    """g with vertices 0 and b swapped: a wedge bases it at b, and a
+    depth-first search from vertex 0 starts there."""
+    swap = {0: b, b: 0}
+    return Graph(g.vertex_count, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
+
+
 def random_connected_edges(rng, n, extra):
     """Random spanning tree plus `extra` additional edges."""
     edges = set()

@@ -5,7 +5,6 @@ import pytest
 from equicycle import (
     BadParamsError,
     BookParams,
-    Graph,
     TooSmallError,
     WedgeSpec,
     book,
@@ -17,7 +16,7 @@ from equicycle import (
     wedge,
 )
 
-from brute import connected_components, graph_cycle_lengths
+from brute import based_at, connected_components, graph_cycle_lengths
 
 
 def test_cycle():
@@ -117,12 +116,6 @@ def test_wedge_counts_random_summands():
         assert w.vertex_count == sum(g.vertex_count for g in summands) - (s - 1)
         assert w.edge_count == sum(g.edge_count for g in summands)
         assert len(connected_components(w)) == 1
-
-
-def based_at(g, b):
-    """g with vertices 0 and b swapped, so that the wedge bases it at b."""
-    swap = {0: b, b: 0}
-    return Graph(g.vertex_count, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
 
 
 def test_wedge_counts_invariant_under_base_choice():

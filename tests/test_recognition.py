@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from equicycle import recognition
 from equicycle.decomposition import Block
 
 from brute import (
+    based_at,
     graph_cycle_lengths,
     is_simple_cycle,
     reference_classify,
@@ -90,12 +93,78 @@ def test_classify_unequal_paths_other():
 @settings(max_examples=400, deadline=None)
 @given(structured_graphs())
 def test_classify_matches_reference(g):
-    for block in decompose(g).cycle_blocks:
+    # the classifier on Hopcroft-Tarjan's blocks, on a given decomposition's
+    # and through classify_block
+    d = decompose(g)
+    rows = [recognition._cycle_blocks(g, dec)[1] for dec in (None, d)]
+    for block, *row_shapes in zip(d.cycle_blocks, *[[s for _, _, s in r] for r in rows]):
         expected = reference_classify(block)
-        for shape in (recognition._classify(block.edges, len(block.vertices)),
-                      classify_block(block)):
+        for shape in (*row_shapes, classify_block(block)):
             assert shape == expected and repr(shape) == repr(expected)
             assert getattr(shape, "chains", None) == getattr(expected, "chains", None)
+
+
+THETA = build(6, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
+
+
+@pytest.mark.parametrize("g", [
+    # one vertex on blocks of every shape: a hub of one book, an inner
+    # page vertex of another, on a K4, a theta and cycles, and a bridge
+    wedge(WedgeSpec((cycle(3), book(BookParams(2, 4, 2)), cycle(3), complete(4),
+                     based_at(book(BookParams(2, 4, 3)), 1), THETA, cycle(4), path(3)))),
+    # a page's inner vertex that is a cut vertex, with pendant blocks and
+    # trees: the blocks are all well-shaped, so witnesses come from two
+    # blocks whose walks pass that vertex
+    wedge(WedgeSpec((based_at(book(BookParams(2, 4, 2)), 1), cycle(3), cycle(5),
+                     book(BookParams(3, 6, 2)), path(4), based_at(path(3), 1)))),
+    # the same with a misshapen pendant block
+    wedge(WedgeSpec((based_at(book(BookParams(2, 4, 2)), 1), complete(4), cycle(3), path(2)))),
+], ids=["hub-of-mixed-blocks", "page-vertex-cut", "page-vertex-cut-k4"])
+def test_block_degrees_where_blocks_share_vertices(g):
+    # every vertex in turn is the DFS root, so that a shared vertex tops
+    # all of its blocks, or lies below the top of one of them
+    for root in range(g.vertex_count):
+        h = based_at(g, root)
+        d = decompose(h)
+        for block in d.cycle_blocks:
+            reference_require_block(block)
+            inside = set(block.vertices)
+            assert block.edges == tuple(e for e in h.edges if inside.issuperset(e))
+        assert sum(len(b.edges) for b in d.cycle_blocks) + len(d.bridges) == h.edge_count
+        expected = [reference_classify(b) for b in d.cycle_blocks]
+        for dec in (None, d):
+            res = decide(h, witnesses=True, decomposition=dec)
+            assert repr(res.shapes) == repr(tuple(expected))
+            rows = recognition._cycle_blocks(h, dec)[1]
+            assert len(rows) == len(d.cycle_blocks)
+            for block, (least, members, shape) in zip(d.cycle_blocks, rows):
+                assert least == block.vertices[0]
+                if isinstance(shape, CycleShape):
+                    assert sorted(members) == list(block.vertices)
+                else:
+                    assert dict(members) == Counter(chain.from_iterable(block.edges))
+            assert_exact_pair(h, (res.witness_a, res.witness_b), res.witness_status)
+
+
+@pytest.mark.parametrize("root", ["hub", "book"])
+def test_windmill_with_book_on_its_hub(root):
+    # 2 * 10**4 triangles and a book B(2, 4, 2) share vertex h.  With the
+    # DFS rooted at h, h tops every block; rooted at the book's other hub,
+    # the book closes last, below its top, after every triangle: h's block
+    # degree there is its graph degree less 2 per triangle.  A block-degree
+    # count that is not linear would take minutes here.
+    t = 2 * 10**4
+    h, b = (0, 1) if root == "hub" else (1, 0)
+    edges = [e for x in (2, 3, 4) for e in ((h, x), (x, b))]
+    edges += [e for a in range(5, 5 + 2 * t, 2) for e in ((h, a), (h, a + 1), (a, a + 1))]
+    g = build(5 + 2 * t, edges)
+    d = decompose(g)
+    assert len(d.cycle_blocks) == t + 1 and d.bridges == () and d.cut_vertices == (h,)
+    for dec in (None, d):
+        res = decide(g, witnesses=True, decomposition=dec)
+        assert Counter(res.shapes) == {CycleShape(3): t, BookShape(2, 2): 1}
+        assert [len(res.witness_a), len(res.witness_b)] == [3, 4]
+    assert_exact_pair(g, (res.witness_a, res.witness_b), res.witness_status)
 
 
 def test_classify_rejects_non_block():
@@ -328,7 +397,7 @@ def test_over_budget_block_is_never_copied(monkeypatch):
         raise AssertionError("the ear search copied the block")
 
     monkeypatch.setattr(Block, "to_graph", refuse)
-    monkeypatch.setattr(Block, "of", refuse)
+    monkeypatch.setattr(Block, "__init__", refuse)
     # Hamiltonian 20-cycle with two crossing chords: four hubs, no theta
     # shape, and more vertices than the oracle's default budget
     g = build(20, [(i, (i + 1) % 20) for i in range(20)] + [(0, 10), (5, 15)])
