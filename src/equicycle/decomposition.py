@@ -6,9 +6,11 @@ isolated vertices.  Disconnected inputs are handled per component and
 the results concatenated.
 
 Hopcroft-Tarjan keeps a vertex stack and an edge count, not an edge
-stack: a component closes as its top vertex u, the vertices popped
-below u and its edge count.  decompose lists each block's edges from
-its vertices below u, each popped once, so in linear time.
+stack: a component closes as its vertices, the top (the vertex the DFS
+entered it from) last, and its edge count.  A block's degrees and
+edges are read from those and the graph's adjacency in time linear over
+all blocks: each vertex is below the top of exactly one block, and the
+top's neighbours in a block are read off the other vertices' lists.
 """
 
 from collections import defaultdict
@@ -52,8 +54,8 @@ class BlockDecomposition:
 
 def _biconnected_components(vertex_count, adjacency):
     """Iterative Hopcroft-Tarjan.  Returns (each biconnected component
-    as (top u, list of the vertices below u, edge count) in closing
-    order; articulation points; number of connected components)."""
+    as (list of its vertices, top last, edge count) in closing order;
+    articulation points; number of connected components)."""
     disc = [0] * vertex_count  # 0 = unvisited, else 1-based time
     low = [0] * vertex_count
     cuts = set()
@@ -98,7 +100,9 @@ def _biconnected_components(vertex_count, adjacency):
                     low[u] = low[v]
                 if low[v] >= disc[u]:
                     # the tree edge (u, v) and everything seen after it
-                    comps.append((u, vstack[vmark:], edges - emark))
+                    vertices = vstack[vmark:]
+                    vertices.append(u)
+                    comps.append((vertices, edges - emark))
                     del vstack[vmark:]
                     edges = emark
                     if u == root:
@@ -110,6 +114,45 @@ def _biconnected_components(vertex_count, adjacency):
     return comps, cuts, roots
 
 
+def top_neighbours(adj, vertices):
+    """The neighbours, ascending, of the top of the block on vertices,
+    a list with the top last.  The top's list in the graph's
+    adjacency adj runs into every block it tops, but every other vertex
+    has its edges in this block or in blocks closed earlier with it on
+    top, so the top's neighbours are read off the others' lists."""
+    u = vertices[-1]
+    top = [y for y in vertices[:-1] if u in adj[y]]
+    top.sort()
+    return top
+
+
+def cycle_block_degrees(g):
+    """Hopcroft-Tarjan over g with no edge list: the number of connected
+    components, and each cycle block as (vertices, top last; edge count
+    m; degrees) in closing order.  A block with m == len(vertices) is a
+    cycle, with degrees None; any other's degrees maps each vertex to
+    its block degree.  A vertex below the top has each edge in this
+    block or in a block closed earlier with it on top, and the top,
+    last in degrees too, has the rest of the 2m ends."""
+    adj = g.adjacency
+    comps, _, component_count = _biconnected_components(g.vertex_count, adj)
+    blocks = []
+    given = {}  # a top vertex's edges in the blocks closed so far
+    for vertices, m in comps:
+        u = vertices[-1]
+        if m == 1:  # a bridge
+            given[u] = given.get(u, 0) + 1
+            continue
+        degrees = None
+        top = 2  # in a cycle
+        if m > len(vertices):
+            degrees = {x: len(adj[x]) - given.get(x, 0) for x in vertices}
+            top = degrees[u] = 2 * m - (sum(degrees.values()) - degrees[u])
+        given[u] = given.get(u, 0) + top
+        blocks.append((vertices, m, degrees))
+    return component_count, blocks
+
+
 def decompose(g):
     """Full decomposition: bridges, cut vertices, and cycle blocks
     ordered by least contained vertex."""
@@ -117,21 +160,15 @@ def decompose(g):
     comps, cuts, component_count = _biconnected_components(g.vertex_count, adj)
     bridges_ = []
     blocks = []
-    for u, below, m in comps:
+    for vertices, m in comps:
         if m == 1:
-            v = below[0]
-            bridges_.append((u, v) if u < v else (v, u))
+            bridges_.append(tuple(sorted(vertices)))
             continue
-        below.append(u)
-        below.sort()
-        inside = set(below)
-        # the edges between block vertices, each read once from its smaller
-        # end or its end below u (u's list runs into other blocks); they
-        # come out sorted but for u's, which sort merges in
-        edges = [(y, z) if y < z else (z, y) for y in below if y != u
-                 for z in adj[y] if (z > y or z == u) and z in inside]
-        edges.sort()
-        blocks.append(Block(tuple(below), tuple(edges)))
+        u, top, inside = vertices[-1], top_neighbours(adj, vertices), set(vertices)
+        vertices.sort()
+        edges = [(y, z) for y in vertices for z in (top if y == u else adj[y])
+                 if y < z and z in inside]
+        blocks.append(Block(tuple(vertices), tuple(edges)))
     blocks.sort(key=lambda b: b.vertices[0])
     return BlockDecomposition(
         bridges=tuple(sorted(bridges_)),

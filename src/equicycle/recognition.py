@@ -6,11 +6,11 @@ length r/2 between two hub vertices.  Any other block shape, or two
 blocks implying different r, forces two distinct cycle lengths.
 
 The decision is one linear pass: Hopcroft-Tarjan closes each block as
-its top vertex, the vertices below it and its edge count, and the
-block is classified from those and the graph's adjacency alone, with
-hub-to-hub chains walked only in a two-hub block.  A given
-decomposition's blocks go through the same classifier, so every block
-carries its own shape, which decides where its witnesses come from.
+its vertices and edge count, and the block is classified from those
+and the graph's adjacency alone, with hub-to-hub chains walked only in
+a two-hub block.  A given decomposition's blocks go through the same
+classifier, so every block carries its own shape, which decides where
+its witnesses come from.
 
 Every rejection is given two witness cycles of distinct lengths, in
 linear time and with no search budget.  They come from the first
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
 
-from .decomposition import _biconnected_components, decompose
+from .decomposition import cycle_block_degrees, decompose, top_neighbours
 from .errors import NotABlockError, NotRejectedError
 
 
@@ -90,36 +90,39 @@ class Acyclic:
     notes: tuple = ()
 
 
-def _hub_chains(adj, degrees, a):
-    """Each maximal degree-2 chain leaving hub a, as the vertex sequence
-    a..endpoint (in a cycle, a..a), in the order of a's neighbour list.
-    degrees maps the block's vertices to their block degrees, and the
-    block's edges are the graph's (adj) between them.  In a two-hub
-    block every chain ends at the other hub: a chain back to a would
-    make a a cut vertex, and a degree-2 vertex on no chain would lie on
-    a cycle of degree-2 vertices alone."""
-    chains = []
-    for w in adj[a]:
-        if w in degrees:
+def _hub_chains(adj, inside, a, vertices=None):
+    """Each maximal degree-2 chain leaving vertex a of a block, as the
+    vertex sequence a..endpoint (in a cycle, a..a), in the order of a's
+    neighbour list.  inside maps the block's vertices to their block
+    degrees, and adj is the block's adjacency or the graph's.  vertices,
+    if given, lists the block's vertices with its Hopcroft-Tarjan top
+    last, whose neighbours are then read off the others' lists.  In a
+    two-hub block every chain ends at the other hub: a chain back to a
+    would make a a cut vertex, and a degree-2 vertex on no chain would
+    lie on a cycle of degree-2 vertices alone."""
+    top = vertices[-1] if vertices else None
+    for w in top_neighbours(adj, vertices) if a == top else adj[a]:
+        if w in inside:
             chain = [a, w]
             prev, cur = a, w
-            while cur != a and degrees[cur] == 2:
-                x, y = [z for z in adj[cur] if z in degrees]
+            while cur != a and inside[cur] == 2:
+                x, y = (top_neighbours(adj, vertices) if cur == top
+                        else [z for z in adj[cur] if z in inside])
                 prev, cur = cur, y if x == prev else x
                 chain.append(cur)
-            chains.append(chain)
-    return chains
+            yield chain
 
 
-def _classify(adj, degrees):
+def _classify(degrees, walk):
     """Shape of a cycle block that is not a cycle, from its vertex ->
-    block degree map; adj is the graph's adjacency or the block's."""
+    block degree map; walk(a) yields the block's chains from hub a, and
+    is called only for a block with two hubs."""
     hubs = list(islice((v for v, d in degrees.items() if d > 2), 3))
     # two hubs have equal degree: a chain of degree-2 vertices from a hub
     # back to itself would make that hub a cut vertex
     if len(hubs) != 2:
         return _DEGREE_PROFILE
-    chains = _hub_chains(adj, degrees, min(hubs))
+    chains = list(walk(min(hubs)))
     lens = [len(c) - 1 for c in chains]
     if len(set(lens)) > 1:
         if 1 in lens:
@@ -133,14 +136,14 @@ def _classify(adj, degrees):
     return BookShape(k, len(chains) - 1)
 
 
-def _block_row(adj, block):
+def _block_row(block):
     """A Block's members and shape, as _cycle_blocks rows hold them."""
     # a block is 2-connected, so every degree is at least 2: as many edges
     # as vertices leaves every degree at exactly 2, a single cycle
     if len(block.edges) == len(block.vertices):
         return block.vertices, CycleShape(len(block.vertices))
     degrees = Counter(chain.from_iterable(block.edges))
-    return degrees, _classify(adj, degrees)
+    return degrees, _classify(degrees, lambda a: _hub_chains(block.adjacency(), degrees, a))
 
 
 def classify_block(block):
@@ -152,7 +155,7 @@ def classify_block(block):
     d = decompose(block.to_graph()[0])
     if d.component_count != 1 or d.bridges or len(d.cycle_blocks) != 1:
         raise NotABlockError("not a 2-connected block of at least 3 vertices")
-    return _block_row(block.adjacency(), block)[1]
+    return _block_row(block)[1]
 
 
 def _cycle_blocks(g, decomposition):
@@ -163,36 +166,21 @@ def _cycle_blocks(g, decomposition):
     adj = g.adjacency
     blocks = []
     if decomposition is None:
-        comps, _, component_count = _biconnected_components(g.vertex_count, adj)
-        given = {}  # a top vertex's edges in the blocks closed so far
-        for u, below, m in comps:
-            if m == 1:  # a bridge
-                given[u] = given.get(u, 0) + 1
-            elif m == len(below) + 1:  # a cycle
-                given[u] = given.get(u, 0) + 2
-                below.append(u)
-                blocks.append((min(below), below, CycleShape(m)))
+        component_count, closed = cycle_block_degrees(g)
+        for vertices, m, degrees in closed:
+            if degrees is None:
+                shape = CycleShape(m)
             else:
-                # a vertex below u has each edge here or in a block closed
-                # earlier with it on top; u has the rest of the 2m ends
-                degrees = {x: len(adj[x]) - given.get(x, 0) for x in below}
-                top = degrees[u] = 2 * m - sum(degrees.values())
-                given[u] = given.get(u, 0) + top
-                blocks.append((min(degrees), degrees, _classify(adj, degrees)))
+                shape = _classify(degrees, lambda a: _hub_chains(adj, degrees, a, vertices))
+            blocks.append((min(vertices), degrees or vertices, shape))
     else:
         component_count = decomposition.component_count
         for block in decomposition.cycle_blocks:
-            blocks.append((block.vertices[0], *_block_row(adj, block)))
+            blocks.append((block.vertices[0], *_block_row(block)))
     # stable: blocks that share their least vertex, a cut vertex, keep
     # the order in which the DFS closed them
     blocks.sort(key=itemgetter(0))
     return component_count, blocks
-
-
-def _cycle_witness(adj, vertices, start):
-    """Vertex sequence of a cycle block from its least vertex start,
-    towards start's smaller neighbour."""
-    return tuple(_hub_chains(adj, dict.fromkeys(vertices, 2), start)[0][:-1])
 
 
 def _chain_pair_cycle(c1, c2):
@@ -200,9 +188,16 @@ def _chain_pair_cycle(c1, c2):
     return tuple(c1[:-1] + list(reversed(c2[1:])))
 
 
-def _book_witness(adj, degrees):
-    chains = _hub_chains(adj, degrees, min(v for v, d in degrees.items() if d > 2))
-    return _chain_pair_cycle(chains[0], chains[1])
+def _block_cycle(adj, least, members, shape):
+    """A cycle of a well-shaped block, from its _cycle_blocks row: in a
+    cycle, one way round from its least vertex, towards that vertex's
+    smaller neighbour; in a book, its first two pages from the lesser
+    hub.  Only two blocks are walked, so a cut vertex's whole list in
+    adj may be read."""
+    if isinstance(shape, CycleShape):
+        return tuple(next(_hub_chains(adj, dict.fromkeys(members, 2), least))[:-1])
+    chains = _hub_chains(adj, members, min(v for v, d in members.items() if d > 2))
+    return _chain_pair_cycle(next(chains), next(chains))
 
 
 def _theta_witness_pair(chains):
@@ -380,15 +375,10 @@ def _witness_pair(adj, blocks):
             return _ear_witness_pair(adj, members, least)
         if shape.r is None:
             return _theta_witness_pair(shape.chains)
-    # otherwise two well-shaped blocks disagree on r
-    by_r = {}
-    for least, members, shape in blocks:
-        if shape.r not in by_r:
-            if isinstance(shape, CycleShape):
-                by_r[shape.r] = _cycle_witness(adj, members, least)
-            else:
-                by_r[shape.r] = _book_witness(adj, members)
-    return by_r[min(by_r)], by_r[max(by_r)]
+    # otherwise two well-shaped blocks disagree on r: the first block of
+    # the least r and the first of the greatest give one cycle each
+    rs = [shape.r for _, _, shape in blocks]
+    return tuple(_block_cycle(adj, *blocks[rs.index(r)]) for r in (min(rs), max(rs)))
 
 
 def decide(g, witnesses=False, decomposition=None):
@@ -398,9 +388,9 @@ def decide(g, witnesses=False, decomposition=None):
     B(r/2, r, p) for one common r, Acyclic when there are no cycle
     blocks, and DistinctLengths otherwise.  The decision never
     enumerates cycles: one Hopcroft-Tarjan pass closes each block as
-    its top vertex, the vertices below it and its edge count, and each
-    block is classified from those and g.adjacency, by its counts and
-    degree profile, walking hub-to-hub chains only in a two-hub block.
+    its vertices and edge count, and each block is classified from
+    those and g.adjacency, by its counts and degree profile, walking
+    hub-to-hub chains only in a two-hub block.
     decomposition, if given, must be decompose(g); its blocks are
     classified in place of Hopcroft-Tarjan's, by the same classifier.
 

@@ -146,23 +146,34 @@ def test_block_degrees_where_blocks_share_vertices(g):
             assert_exact_pair(h, (res.witness_a, res.witness_b), res.witness_status)
 
 
-@pytest.mark.parametrize("root", ["hub", "book"])
-def test_windmill_with_book_on_its_hub(root):
-    # 2 * 10**4 triangles and a book B(2, 4, 2) share vertex h.  With the
-    # DFS rooted at h, h tops every block; rooted at the book's other hub,
-    # the book closes last, below its top, after every triangle: h's block
-    # degree there is its graph degree less 2 per triangle.  A block-degree
-    # count that is not linear would take minutes here.
+@pytest.mark.parametrize("case", ["triangles-rooted-at-hub", "triangles-rooted-at-book",
+                                  "books-at-hub", "books-at-page"])
+def test_windmill(case):
+    # 2 * 10**4 blocks share one vertex; a step that read that vertex's
+    # whole neighbour list once per block would take minutes here.
+    # triangles: 2 * 10**4 triangles and a book B(2, 4, 2) share vertex
+    # h.  With the DFS rooted at h, h tops every block; rooted at the
+    # book's other hub, the book closes last, below its top, after every
+    # triangle: h's block degree there is its graph degree less 2 per
+    # triangle.  books: a triangle and 2 * 10**4 books B(2, 4, 2) share
+    # vertex 0, a hub of every book or an inner vertex of one of its
+    # pages, so the chain walk of every book reads it.
     t = 2 * 10**4
-    h, b = (0, 1) if root == "hub" else (1, 0)
-    edges = [e for x in (2, 3, 4) for e in ((h, x), (x, b))]
-    edges += [e for a in range(5, 5 + 2 * t, 2) for e in ((h, a), (h, a + 1), (a, a + 1))]
-    g = build(5 + 2 * t, edges)
+    if case.startswith("triangles"):
+        h, b = (0, 1) if case.endswith("hub") else (1, 0)
+        edges = [e for x in (2, 3, 4) for e in ((h, x), (x, b))]
+        edges += [e for a in range(5, 5 + 2 * t, 2) for e in ((h, a), (h, a + 1), (a, a + 1))]
+        g = build(5 + 2 * t, edges)
+        shapes = {CycleShape(3): t, BookShape(2, 2): 1}
+    else:
+        h, bk = 0, book(BookParams(2, 4, 2))
+        g = wedge(WedgeSpec((cycle(3), *[bk if case == "books-at-hub" else based_at(bk, 1)] * t)))
+        shapes = {CycleShape(3): 1, BookShape(2, 2): t}
     d = decompose(g)
     assert len(d.cycle_blocks) == t + 1 and d.bridges == () and d.cut_vertices == (h,)
     for dec in (None, d):
         res = decide(g, witnesses=True, decomposition=dec)
-        assert Counter(res.shapes) == {CycleShape(3): t, BookShape(2, 2): 1}
+        assert Counter(res.shapes) == shapes
         assert [len(res.witness_a), len(res.witness_b)] == [3, 4]
     assert_exact_pair(g, (res.witness_a, res.witness_b), res.witness_status)
 
