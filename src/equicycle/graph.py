@@ -5,9 +5,12 @@ neighbour tuples; the sorted edge tuple is derived from them on first
 use.  Input files may use arbitrary non-negative labels; they are
 remapped on parse and the original labels are retained on the graph for
 reporting.
+Text in serialize_edge_list's layout is read in bounded chunks, and
+every vertex gets one int object; comments, blank lines, tabs, runs of
+spaces, CRLF and ids >= 2**63 take the line-by-line reader instead.
 """
 
-from operator import eq
+from array import array
 
 from .errors import (
     BadVertexError,
@@ -17,6 +20,8 @@ from .errors import (
     TooSmallError,
     UnknownEdgeError,
 )
+
+_CHUNK = 1 << 16  # characters per chunk of the bulk reader, rounded up to whole lines
 
 
 class Graph:
@@ -45,6 +50,14 @@ class Graph:
         self.adjacency = tuple(map(tuple, adj))
         self.labels = tuple(labels) if labels is not None else None
         self._edges = None
+
+    @classmethod
+    def _of_sorted(cls, adjacency, labels):
+        """The graph of these sorted neighbour tuples, taken unchecked."""
+        g = cls.__new__(cls)
+        g.vertex_count, g.adjacency, g._edges = len(adjacency), adjacency, None
+        g.labels = tuple(labels) if labels is not None else None
+        return g
 
     @property
     def edges(self):
@@ -128,57 +141,76 @@ def parse_edge_list(text):
     which case ids must be < N and are used directly.  Without the
     header, labels are collected and remapped to dense ids.
 
-    Text laid out as serialize_edge_list writes it is read in bulk.
-    Anything else, and any loop, duplicate or id >= N, goes through the
-    line-by-line reader, which reports the first bad line.
+    Text laid out as serialize_edge_list writes it is read in bulk, in
+    bounded chunks.  Anything else, and any loop, duplicate or id >= N,
+    goes through the line-by-line reader, which reports the first bad line.
     """
     g = _parse_bulk(text)
     return g if g is not None else _parse_lines(text)
 
 
-def _is_ascii_int(token):
-    return token.isascii() and token.isdigit()
-
-
 def _parse_bulk(text):
-    """The graph of text made of an optional `vertices N` line and one
-    `u v` line per edge: single spaces, '\n' line ends, ASCII-digit ids,
-    no loop, duplicate or id >= N.  None for any other text."""
-    tokens = text.split()
-    # the text is its tokens, two to a line: no blank line, comment,
-    # other whitespace, or line of another length
-    if text.rstrip("\n") != "\n".join(map(" ".join, zip(tokens[0::2], tokens[1::2]))):
+    """The graph of text made of an optional `vertices N` line and at
+    least one `u v` line: single spaces, '\n' line ends, ASCII-digit ids
+    below 2**63, no loop, duplicate or id >= N.  None for any other text.
+    The ids go through chunks of whole lines into one int64 array, and
+    the adjacency through a table of one int object per vertex."""
+    end = len(text)
+    while end and text[end - 1] == "\n":
+        end -= 1
+    pos = 0
+    n = None
+    if text.startswith("vertices "):
+        pos = text.find("\n", 0, end) + 1
+        header = text[9:pos - 1]
+        if not (pos and header.isascii() and header.isdigit() and len(header) < 19):
+            return None  # an N of 19 digits or more is left to the line loop
+        n = int(header)
+    ids = array("q")
+    while pos < end:
+        stop = text.find("\n", pos + _CHUNK, end)
+        if stop < 0:
+            stop = end
+        chunk = text[pos:stop]
+        tokens = chunk.split()
+        # the chunk is its tokens, two to a line: no blank line, comment,
+        # other whitespace, or line of another length
+        if (chunk != "\n".join(map(" ".join, zip(tokens[0::2], tokens[1::2])))
+                or not (chunk.isascii() and "".join(tokens).isdigit())):
+            return None
+        try:
+            ids.fromlist(list(map(int, tokens)))
+        except (OverflowError, ValueError):  # beyond int64, or the digit limit
+            return None
+        pos = stop + 1
+    if not ids:
         return None
-    header = None
-    if tokens[:1] == ["vertices"]:
-        header = tokens[1]
-        del tokens[:2]
-    if not tokens or not _is_ascii_int("".join(tokens) + (header or "")):
-        return None
-    try:
-        ids = list(map(int, tokens))
-        n = None if header is None else int(header)
-    except ValueError:  # beyond the interpreter's digit limit
-        return None
-    del tokens  # each stage is freed before the next allocates: peak memory
+    del chunk, tokens  # the last chunk's, before the graph allocates
     labels = None
     if n is None:
         labels = sorted(set(ids))
         n = len(labels)
-        if labels[-1] == n - 1:
-            labels = None  # the ids are already 0..n-1
-        else:
-            ids = list(map({lab: i for i, lab in enumerate(labels)}.__getitem__, ids))
-    elif max(ids) >= n:
+    table = list(range(n))  # the one int object of each vertex
+    if labels and labels[-1] == n - 1:
+        labels = None  # the ids are already 0..n-1
+    elif labels:
+        table = dict(zip(labels, table))  # its values are the same ints
+    adj = [[] for _ in range(n)]
+    ends = iter(ids)
+    try:
+        for u, v in zip(ends, ends):
+            u, v = table[u], table[v]
+            adj[u].append(v)
+            adj[v].append(u)
+    except IndexError:  # an id >= N
         return None
-    us, vs = ids[0::2], ids[1::2]
-    if any(map(eq, us, vs)):
+    # a loop or a duplicate edge puts one neighbour twice into a vertex's list
+    if sum(map(len, map(set, adj))) != len(ids):
         return None
-    g = Graph(n, zip(us, vs), labels)
-    # a duplicate edge puts one neighbour twice into a vertex's tuple
-    if sum(map(len, map(set, g.adjacency))) != len(ids):
-        return None
-    return g
+    for v, nbrs in enumerate(adj):
+        nbrs.sort()
+        adj[v] = tuple(nbrs)  # each list is freed as its tuple is made
+    return Graph._of_sorted(tuple(adj), labels)
 
 
 def _parse_lines(text):
@@ -212,16 +244,13 @@ def _parse_lines(text):
             raise ParseError(line_no, "vertex ids must be non-negative")
         pairs.append((line_no, u, v))
 
-    if header is not None:
-        n = header
-        remap = None
-        labels = None
-    else:
-        labels_sorted = sorted({u for _, u, _ in pairs} | {v for _, _, v in pairs})
-        remap = {lab: i for i, lab in enumerate(labels_sorted)}
-        identity = all(lab == i for i, lab in enumerate(labels_sorted))
-        labels = None if identity else labels_sorted
-        n = len(labels_sorted)
+    n, remap, labels = header, None, None
+    if header is None:
+        labels = sorted({u for _, u, _ in pairs} | {v for _, _, v in pairs})
+        n = len(labels)
+        remap = {lab: i for i, lab in enumerate(labels)}
+        if not labels or labels[-1] == n - 1:
+            labels = None  # the labels are already 0..n-1
 
     seen = set()
     edges = []

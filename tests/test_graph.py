@@ -1,3 +1,7 @@
+import random
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +25,7 @@ from equicycle import (
     serialize_edge_list,
     subdivide,
 )
+from equicycle import graph
 from equicycle.graph import _parse_bulk
 
 from brute import connected_components, graph_cycle_lengths, reference_parse_edge_list
@@ -284,6 +289,19 @@ def messy_texts(draw):
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(clean_texts(), messy_texts()))
 def test_parse_matches_line_by_line_reference(text):
+    assert_parses_as_reference(text)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(clean_texts(), messy_texts()))
+def test_parse_matches_reference_at_any_chunk_size(chunk, text):
+    # tiny chunks put a chunk boundary after almost every line
+    with mock.patch.object(graph, "_CHUNK", chunk):
+        assert_parses_as_reference(text)
+
+
+def assert_parses_as_reference(text):
     try:
         expected = reference_parse_edge_list(text)
     except ParseError as exc:
@@ -294,3 +312,86 @@ def test_parse_matches_line_by_line_reference(text):
     g = parse_edge_list(text)
     assert (g.vertex_count, g.adjacency, g.edges, g.labels) == (
         expected.vertex_count, expected.adjacency, expected.edges, expected.labels)
+
+
+# paired out of step after a bad line, these ids still make no loop or duplicate
+EDGE_LINES = [f"{i} {i + 40}" for i in range(30)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("bad", ["5", "3  3", "7 8 9", "5\n6 7 8"])
+def test_bad_line_at_every_chunk_boundary(monkeypatch, chunk, bad):
+    """A bad line gives the line loop's error and line number wherever the
+    chunks fall: as the first or last line of a chunk, or inside one.
+    The last case keeps the token count even, so only the layout check
+    can send it to the line loop."""
+    monkeypatch.setattr(graph, "_CHUNK", chunk)
+    for at in range(len(EDGE_LINES) + 1):
+        for header in ([], ["vertices 100"]):
+            text = "\n".join(header + EDGE_LINES[:at] + [bad] + EDGE_LINES[at:]) + "\n"
+            with pytest.raises(ParseError) as expected:
+                reference_parse_edge_list(text)
+            with pytest.raises(ParseError) as got:
+                parse_edge_list(text)
+            assert (str(got.value), got.value.line) == (str(expected.value), expected.value.line)
+            assert got.value.line == len(header) + at + 1
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, graph._CHUNK])
+def test_ids_beyond_int64_go_through_the_line_loop(monkeypatch, chunk):
+    monkeypatch.setattr(graph, "_CHUNK", chunk)
+    top = 2**63 - 1
+    fits = f"{top} 5\n5 {top - 1}\n"
+    assert _parse_bulk(fits).labels == (5, top - 1, top)
+    for big in (2**63, 2**64 + 3, 10**30):
+        text = f"{big} 5\n5 {top}\n{top} {big}\n"
+        assert _parse_bulk(text) is None
+        g = parse_edge_list(text)
+        expected = reference_parse_edge_list(text)
+        assert g.labels == expected.labels == (5, top, big)
+        assert g.adjacency == expected.adjacency == ((1, 2), (0, 2), (0, 1))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, graph._CHUNK])
+def test_header_file_without_final_newline_is_read_in_bulk(monkeypatch, chunk):
+    monkeypatch.setattr(graph, "_CHUNK", chunk)
+    text = "vertices 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0"
+    g = _parse_bulk(text)
+    assert g is not None and g == _parse_bulk(text + "\n") == cycle(6)
+    assert parse_edge_list(text) == g
+
+
+def test_adjacency_shares_one_int_per_vertex():
+    """Ids above 256 are not cached by the interpreter, so the parse must
+    hand every vertex one int object, shared by all its appearances."""
+    n = 700
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 350) % n) for i in range(0, 350, 3)]
+    for text in (f"vertices {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs),
+                 "".join(f"{10**12 + 7 * v} {10**12 + 7 * u}\n" for u, v in pairs)):
+        g = parse_edge_list(text)
+        assert _parse_bulk(text) is not None and g.edge_count == len(pairs)
+        assert len({id(x) for t in g.adjacency for x in t}) <= g.vertex_count == n
+
+
+def test_bulk_parse_holds_no_token_list():
+    """Parsing never holds what `text.split()` of the whole file holds:
+    its peak above the graph it returns is below the token list's."""
+    rng = random.Random(3)
+    n = 10_000
+    edges = set()
+    while len(edges) < 2 * n:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    text = serialize_edge_list(Graph(n, edges))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        retained, parse_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        tokens = text.split()
+        split_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == len(tokens) // 2 - 1
+    assert parse_peak - retained < split_peak
