@@ -10,10 +10,9 @@ certify_graph keeps those premises honest for a concrete graph.
 
 from dataclasses import dataclass
 
-from .decomposition import decompose
 from .errors import BadRangeError
 from .generators import BookParams, WedgeSpec, book, cycle, path, wedge
-from .recognition import Acyclic, AllCyclesEqual, decide
+from .recognition import _common_r, _cycle_blocks
 
 RULE_WITH_R = "single-cycle-length edge bound for known r"
 RULE_ANY_R = "single-cycle-length edge bound 2n-4 (any r)"
@@ -109,15 +108,17 @@ def certify_distinct(n, m, r=None):
 def certify_graph(g, r=None):
     """Certificate for a concrete graph, with premises checked: the
     graph must be connected, and when r is given some cycle of length r
-    must exist.  decide settles that premise in linear time: an acyclic
-    graph, or one whose cycles all have another length, has no r-cycle.
-    A graph that decide rejects is not searched for an r-cycle, since
-    it already has two cycle lengths, the certificate's conclusion."""
-    d = decompose(g)
-    if d.component_count > 1:
+    must exist.  One pass of decide's Hopcroft-Tarjan classifier gives
+    both the component count and the block shapes, which settle that
+    premise in linear time: an acyclic graph, or one whose cycles all
+    have another length, has no r-cycle.  A graph that decide rejects is
+    not searched for an r-cycle, since it already has two cycle lengths,
+    the certificate's conclusion."""
+    component_count, blocks = _cycle_blocks(g)
+    if component_count > 1:
         raise BadRangeError("certificate premises require a connected graph")
     if r is not None:
-        verdict = decide(g, decomposition=d)
-        if isinstance(verdict, Acyclic) or (isinstance(verdict, AllCyclesEqual) and verdict.r != r):
+        common = _common_r([shape for _, _, shape in blocks])
+        if not blocks or common not in (None, r):
             raise BadRangeError(f"graph has no cycle of length {r}")
     return certify_distinct(g.vertex_count, g.edge_count, r)

@@ -267,6 +267,9 @@ def main(argv=None):
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # e.g. a `vertices N` header far beyond the file
+        print("error: out of memory", file=sys.stderr)
+        return 2
     finally:
         if collecting:
             gc.enable()

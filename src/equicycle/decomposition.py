@@ -13,7 +13,6 @@ all blocks: each vertex is below the top of exactly one block, and the
 top's neighbours in a block are read off the other vertices' lists.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -26,15 +25,6 @@ class Block:
 
     vertices: tuple
     edges: tuple
-
-    def adjacency(self):
-        """Vertex -> neighbour list, each ascending if the edges are
-        sorted (u, v) pairs with u < v, as decompose gives them."""
-        adj = defaultdict(list)
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
     def to_graph(self):
         """Dense relabeling of the block; returns (graph, dense->parent

@@ -254,16 +254,18 @@ def _parse_lines(text):
 
     seen = set()
     edges = []
-    for line_no, u, v in pairs:
+    for line_no, a, b in pairs:  # input labels, named in the messages
         if remap is not None:
-            u, v = remap[u], remap[v]
-        elif u >= n or v >= n:
-            raise ParseError(line_no, f"vertex id {max(u, v)} >= declared count {n}")
+            u, v = remap[a], remap[b]
+        elif a >= n or b >= n:
+            raise ParseError(line_no, f"vertex id {max(a, b)} >= declared count {n}")
+        else:
+            u, v = a, b
         if u == v:
-            raise ParseError(line_no, f"self-loop at vertex {u}")
+            raise ParseError(line_no, f"self-loop at vertex {a}")
         e = (u, v) if u < v else (v, u)
         if e in seen:
-            raise ParseError(line_no, f"duplicate edge ({u}, {v})")
+            raise ParseError(line_no, f"duplicate edge ({a}, {b})")
         seen.add(e)
         edges.append(e)
     return Graph(n, edges, labels)

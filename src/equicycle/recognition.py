@@ -8,9 +8,11 @@ blocks implying different r, forces two distinct cycle lengths.
 The decision is one linear pass: Hopcroft-Tarjan closes each block as
 its vertices and edge count, and the block is classified from those
 and the graph's adjacency alone, with hub-to-hub chains walked only in
-a two-hub block.  A given decomposition's blocks go through the same
-classifier, so every block carries its own shape, which decides where
-its witnesses come from.
+a two-hub block.  This pass is the only way any caller gets block
+shapes: decide, extract_witnesses, classify_block (on a copy of its
+block) and bounds.certify_graph all read them from it, so every block
+carries the shape this one classifier gave it, which decides where its
+witnesses come from.
 
 Every rejection is given two witness cycles of distinct lengths, in
 linear time and with no search budget.  They come from the first
@@ -20,12 +22,11 @@ equal-path book until an ear breaks it).  When every block is
 well-shaped, they come from two blocks of different r.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 
-from .decomposition import cycle_block_degrees, decompose, top_neighbours
+from .decomposition import cycle_block_degrees, top_neighbours
 from .errors import NotABlockError, NotRejectedError
 
 
@@ -94,12 +95,12 @@ def _hub_chains(adj, inside, a, vertices=None):
     """Each maximal degree-2 chain leaving vertex a of a block, as the
     vertex sequence a..endpoint (in a cycle, a..a), in the order of a's
     neighbour list.  inside maps the block's vertices to their block
-    degrees, and adj is the block's adjacency or the graph's.  vertices,
-    if given, lists the block's vertices with its Hopcroft-Tarjan top
-    last, whose neighbours are then read off the others' lists.  In a
-    two-hub block every chain ends at the other hub: a chain back to a
-    would make a a cut vertex, and a degree-2 vertex on no chain would
-    lie on a cycle of degree-2 vertices alone."""
+    degrees, and adj is the graph's adjacency.  vertices, if given,
+    lists the block's vertices with its Hopcroft-Tarjan top last, whose
+    neighbours are then read off the others' lists.  In a two-hub block
+    every chain ends at the other hub: a chain back to a would make a a
+    cut vertex, and a degree-2 vertex on no chain would lie on a cycle
+    of degree-2 vertices alone."""
     top = vertices[-1] if vertices else None
     for w in top_neighbours(adj, vertices) if a == top else adj[a]:
         if w in inside:
@@ -113,16 +114,16 @@ def _hub_chains(adj, inside, a, vertices=None):
             yield chain
 
 
-def _classify(degrees, walk):
+def _classify(adj, degrees, vertices):
     """Shape of a cycle block that is not a cycle, from its vertex ->
-    block degree map; walk(a) yields the block's chains from hub a, and
-    is called only for a block with two hubs."""
+    block degree map; its chains are walked, by _hub_chains over adj and
+    vertices (top last), only when it has two hubs."""
     hubs = list(islice((v for v, d in degrees.items() if d > 2), 3))
     # two hubs have equal degree: a chain of degree-2 vertices from a hub
     # back to itself would make that hub a cut vertex
     if len(hubs) != 2:
         return _DEGREE_PROFILE
-    chains = list(walk(min(hubs)))
+    chains = list(_hub_chains(adj, degrees, min(hubs), vertices))
     lens = [len(c) - 1 for c in chains]
     if len(set(lens)) > 1:
         if 1 in lens:
@@ -136,47 +137,35 @@ def _classify(degrees, walk):
     return BookShape(k, len(chains) - 1)
 
 
-def _block_row(block):
-    """A Block's members and shape, as _cycle_blocks rows hold them."""
-    # a block is 2-connected, so every degree is at least 2: as many edges
-    # as vertices leaves every degree at exactly 2, a single cycle
-    if len(block.edges) == len(block.vertices):
-        return block.vertices, CycleShape(len(block.vertices))
-    degrees = Counter(chain.from_iterable(block.edges))
-    return degrees, _classify(degrees, lambda a: _hub_chains(block.adjacency(), degrees, a))
-
-
 def classify_block(block):
     """Classify one cycle block as CycleShape, BookShape or OtherShape.
 
-    Raises NotABlockError when the argument is not one 2-connected
-    block: one component, with no bridge and one cycle block.
+    The block is copied to a graph of its own and classified there by
+    the Hopcroft-Tarjan pass that decide makes; an OtherShape's chains
+    are mapped back to the block's vertex ids.  Raises NotABlockError
+    when the argument is not one 2-connected block: one component whose
+    one cycle block holds every vertex.
     """
-    d = decompose(block.to_graph()[0])
-    if d.component_count != 1 or d.bridges or len(d.cycle_blocks) != 1:
+    h, mapping = block.to_graph()
+    component_count, rows = _cycle_blocks(h)
+    if component_count != 1 or len(rows) != 1 or len(rows[0][1]) != h.vertex_count:
         raise NotABlockError("not a 2-connected block of at least 3 vertices")
-    return _block_row(block)[1]
+    shape = rows[0][2]
+    if isinstance(shape, OtherShape) and shape.chains:
+        return OtherShape(shape.reason, [[mapping[v] for v in c] for c in shape.chains])
+    return shape
 
 
-def _cycle_blocks(g, decomposition):
+def _cycle_blocks(g):
     """The component count, and each cycle block as a row (least vertex,
-    members, shape), ordered by least vertex, from Hopcroft-Tarjan or a
-    given decomposition.  members, the block's vertex -> degree map or,
-    for a cycle, its vertices, is what the witness path reads of it."""
-    adj = g.adjacency
+    members, shape), ordered by least vertex, from one Hopcroft-Tarjan
+    pass.  members, the block's vertex -> degree map or, for a cycle,
+    its vertices, is what the witness path reads of it."""
+    component_count, closed = cycle_block_degrees(g)
     blocks = []
-    if decomposition is None:
-        component_count, closed = cycle_block_degrees(g)
-        for vertices, m, degrees in closed:
-            if degrees is None:
-                shape = CycleShape(m)
-            else:
-                shape = _classify(degrees, lambda a: _hub_chains(adj, degrees, a, vertices))
-            blocks.append((min(vertices), degrees or vertices, shape))
-    else:
-        component_count = decomposition.component_count
-        for block in decomposition.cycle_blocks:
-            blocks.append((block.vertices[0], *_block_row(block)))
+    for vertices, m, degrees in closed:
+        shape = CycleShape(m) if degrees is None else _classify(g.adjacency, degrees, vertices)
+        blocks.append((min(vertices), degrees or vertices, shape))
     # stable: blocks that share their least vertex, a cut vertex, keep
     # the order in which the DFS closed them
     blocks.sort(key=itemgetter(0))
@@ -391,19 +380,18 @@ def decide(g, witnesses=False, decomposition=None):
     its vertices and edge count, and each block is classified from
     those and g.adjacency, by its counts and degree profile, walking
     hub-to-hub chains only in a two-hub block.
-    decomposition, if given, must be decompose(g); its blocks are
-    classified in place of Hopcroft-Tarjan's, by the same classifier.
+    decomposition is ignored: the blocks are always this pass's own.  It
+    is still accepted because the benchmark harness's traced pipeline
+    (bench/measure.py) passes decompose(g); it goes with that caller.
 
     Pass witnesses=True to also attach a pair of cycles of distinct
     lengths, shorter first, to every rejection (status 'exact'; without
     witnesses the status is 'decision-only').  The pair costs linear
     time and no budget: it comes from the first misshapen block, by its
     chains when it has two hubs and by an ear search otherwise, or from
-    two blocks of different r.  It depends only on g, not on the order
-    in which a block's edges were found, so both decomposition paths
-    give the same pair.
+    two blocks of different r.
     """
-    component_count, blocks = _cycle_blocks(g, decomposition)
+    component_count, blocks = _cycle_blocks(g)
     notes = ()
     if component_count > 1:
         notes = ("input is disconnected; decided over all components",)
@@ -423,15 +411,13 @@ def extract_witnesses(g, shapes=None, decomposition=None):
 
     Returns ((cycle_a, cycle_b), 'exact'), the shorter cycle first, the
     same pair as decide(g, witnesses=True).  Raises NotRejectedError
-    when the graph is accepted or acyclic.  shapes and decomposition,
-    if given, must be decide(g).shapes and decompose(g); the blocks are
-    always classified here, and shapes that differ from theirs raise
-    ValueError.
+    when the graph is accepted or acyclic.  shapes and decomposition
+    are ignored: the blocks are always classified here, by decide's one
+    pass.  They are still accepted because the benchmark harness's
+    traced pipeline (bench/measure.py) passes decide(g).shapes and
+    decompose(g); they go with that caller.
     """
-    _, blocks = _cycle_blocks(g, decomposition)
-    own = tuple([shape for _, _, shape in blocks])
-    if shapes is not None and tuple(shapes) != own:
-        raise ValueError("shapes must be decide(g).shapes")
-    if not blocks or _common_r(own) is not None:
+    _, blocks = _cycle_blocks(g)
+    if not blocks or _common_r([shape for _, _, shape in blocks]) is not None:
         raise NotRejectedError("graph does not contain two distinct cycle lengths")
     return _witness_pair(g.adjacency, blocks), "exact"

@@ -9,7 +9,7 @@ for the faster ones.
 """
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 
 from equicycle import (
     BookShape,
@@ -256,11 +256,21 @@ def _reference_hub_chains(block, adj, a, b):
     return chains
 
 
+def block_adjacency(block):
+    """Vertex -> neighbour list of a Block, each ascending if the edges
+    are sorted (u, v) pairs with u < v, as decompose gives them."""
+    adj = defaultdict(list)
+    for u, v in block.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def reference_classify(block):
     """Adjacency-based block classifier: reads every vertex degree, then
     walks the hub-to-hub chains.  Same shapes, reasons and chains as
     recognition._classify."""
-    adj = block.adjacency()
+    adj = block_adjacency(block)
     m = len(block.vertices)
     degs = [len(adj[v]) for v in block.vertices]
     if all(d == 2 for d in degs):
@@ -291,7 +301,7 @@ def reference_require_block(block):
     unless the block has at least 3 vertices, each of degree >= 2, and
     stays connected after deleting any one vertex.  Quadratic; kept as
     the reference for classify_block's check."""
-    adj = block.adjacency()
+    adj = block_adjacency(block)
     if len(block.vertices) < 3:
         raise NotABlockError("cycle blocks have at least 3 vertices")
     if any(len(adj[v]) < 2 for v in block.vertices):
@@ -361,16 +371,17 @@ def reference_parse_edge_list(text):
 
     seen = set()
     edges = []
-    for line_no, u, v in pairs:
+    for line_no, a, b in pairs:
+        u, v = a, b
         if remap is not None:
             u, v = remap[u], remap[v]
         elif u >= n or v >= n:
             raise ParseError(line_no, f"vertex id {max(u, v)} >= declared count {n}")
         if u == v:
-            raise ParseError(line_no, f"self-loop at vertex {u}")
+            raise ParseError(line_no, f"self-loop at vertex {a}")
         e = (u, v) if u < v else (v, u)
         if e in seen:
-            raise ParseError(line_no, f"duplicate edge ({u}, {v})")
+            raise ParseError(line_no, f"duplicate edge ({a}, {b})")
         seen.add(e)
         edges.append(e)
     return Graph(n, edges, labels)

@@ -118,7 +118,7 @@ def exhaustive_sweep():
             bad = _decomposition_violations(g, decomp)
             if bad:
                 violations.append((n, mask, bad))
-            d = decide(g, decomposition=decomp)
+            d = decide(g)
             if not lengths:
                 ok = isinstance(d, Acyclic)
             elif len(lengths) == 1:

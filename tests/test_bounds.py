@@ -14,13 +14,13 @@ from equicycle import (
     certify_graph,
     cycle,
     decide,
-    decompose,
     extremal,
     max_edges,
     max_edges_any_r,
     path,
     wedge,
 )
+from equicycle import recognition
 
 from brute import graph_cycle_lengths, is_connected
 
@@ -178,7 +178,8 @@ def test_certify_graph_reads_r_cycle_premise_from_decide():
 
 
 def test_certify_graph_connected_premise_matches_bfs():
-    # certify_graph reads connectivity from decompose's component count
+    # certify_graph reads connectivity from the component count of the
+    # Hopcroft-Tarjan pass that decide makes
     for n in (4, 5):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
@@ -189,7 +190,7 @@ def test_certify_graph_connected_premise_matches_bfs():
                 with pytest.raises(BadRangeError, match="connected graph"):
                     certify_graph(g)
     empty = build(0, [])
-    assert is_connected(empty) and decompose(empty).component_count <= 1
+    assert is_connected(empty) and recognition._cycle_blocks(empty)[0] <= 1
 
 
 def test_certify_graph_without_r():

@@ -2,7 +2,10 @@ import contextlib
 import gc
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +211,24 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, verb):
     assert main([*verb, str(f)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: line 2: not UTF-8 text\n" and captured.out == ""
+
+
+def test_huge_header_exit_2_under_memory_cap(tmp_path):
+    # a `vertices N` header far beyond the file asks for N neighbour
+    # lists; in a child capped at 256 MiB of address space, main names
+    # the failure in one error line and exits 2, with no traceback
+    f = tmp_path / "huge.edges"
+    f.write_text("vertices 99999999999999999999999\n0 1\n")
+    cap = 256 << 20
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from equicycle.cli import main\n"
+            "sys.exit(main(['check', sys.argv[1]]))\n")
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(f)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_missing_file_exit_2(capsys):

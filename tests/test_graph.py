@@ -151,6 +151,18 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("text, message", [
+    ("5 7\n7 5", "line 2: duplicate edge (7, 5)"),
+    ("5 7\n7 9\n9 9", "line 3: self-loop at vertex 9"),
+])
+def test_line_loop_errors_name_input_labels(text, message):
+    # without a header the ids are remapped to 0..n-1, but the messages
+    # name the labels as written
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
 def test_roundtrip():
     for g in (cycle(5), book(BookParams(2, 4, 4)), build(4, []), path(0)):
         assert parse_edge_list(serialize_edge_list(g)) == g

@@ -39,6 +39,7 @@ from equicycle.decomposition import Block
 from brute import (
     based_at,
     graph_cycle_lengths,
+    is_connected,
     is_simple_cycle,
     reference_classify,
     reference_require_block,
@@ -54,12 +55,14 @@ def single_block(g):
 
 def assert_exact_pair(g, pair, status):
     """An exact pair: two simple cycles of g, shorter first, and the same
-    pair that the given-decomposition path finds."""
+    pair that decide(g, witnesses=True) and extract_witnesses(g) find."""
     assert status == "exact"
     a, b = pair
     assert len(a) < len(b)
     assert is_simple_cycle(g, a) and is_simple_cycle(g, b)
-    assert extract_witnesses(g, decomposition=decompose(g)) == (pair, status)
+    res = decide(g, witnesses=True)
+    assert (res.witness_a, res.witness_b, res.witness_status) == (a, b, status)
+    assert extract_witnesses(g) == (pair, status)
 
 
 def test_classify_cycle():
@@ -93,13 +96,14 @@ def test_classify_unequal_paths_other():
 @settings(max_examples=400, deadline=None)
 @given(structured_graphs())
 def test_classify_matches_reference(g):
-    # the classifier on Hopcroft-Tarjan's blocks, on a given decomposition's
-    # and through classify_block
+    # the classifier on Hopcroft-Tarjan's blocks of g, and through
+    # classify_block on a copy of each of decompose's blocks
     d = decompose(g)
-    rows = [recognition._cycle_blocks(g, dec)[1] for dec in (None, d)]
-    for block, *row_shapes in zip(d.cycle_blocks, *[[s for _, _, s in r] for r in rows]):
+    rows = recognition._cycle_blocks(g)[1]
+    assert len(rows) == len(d.cycle_blocks)
+    for block, (_, _, row_shape) in zip(d.cycle_blocks, rows):
         expected = reference_classify(block)
-        for shape in (*row_shapes, classify_block(block)):
+        for shape in (row_shape, classify_block(block)):
             assert shape == expected and repr(shape) == repr(expected)
             assert getattr(shape, "chains", None) == getattr(expected, "chains", None)
 
@@ -132,18 +136,17 @@ def test_block_degrees_where_blocks_share_vertices(g):
             assert block.edges == tuple(e for e in h.edges if inside.issuperset(e))
         assert sum(len(b.edges) for b in d.cycle_blocks) + len(d.bridges) == h.edge_count
         expected = [reference_classify(b) for b in d.cycle_blocks]
-        for dec in (None, d):
-            res = decide(h, witnesses=True, decomposition=dec)
-            assert repr(res.shapes) == repr(tuple(expected))
-            rows = recognition._cycle_blocks(h, dec)[1]
-            assert len(rows) == len(d.cycle_blocks)
-            for block, (least, members, shape) in zip(d.cycle_blocks, rows):
-                assert least == block.vertices[0]
-                if isinstance(shape, CycleShape):
-                    assert sorted(members) == list(block.vertices)
-                else:
-                    assert dict(members) == Counter(chain.from_iterable(block.edges))
-            assert_exact_pair(h, (res.witness_a, res.witness_b), res.witness_status)
+        res = decide(h, witnesses=True)
+        assert repr(res.shapes) == repr(tuple(expected))
+        rows = recognition._cycle_blocks(h)[1]
+        assert len(rows) == len(d.cycle_blocks)
+        for block, (least, members, shape) in zip(d.cycle_blocks, rows):
+            assert least == block.vertices[0]
+            if isinstance(shape, CycleShape):
+                assert sorted(members) == list(block.vertices)
+            else:
+                assert dict(members) == Counter(chain.from_iterable(block.edges))
+        assert_exact_pair(h, (res.witness_a, res.witness_b), res.witness_status)
 
 
 @pytest.mark.parametrize("case", ["triangles-rooted-at-hub", "triangles-rooted-at-book",
@@ -171,10 +174,9 @@ def test_windmill(case):
         shapes = {CycleShape(3): 1, BookShape(2, 2): t}
     d = decompose(g)
     assert len(d.cycle_blocks) == t + 1 and d.bridges == () and d.cut_vertices == (h,)
-    for dec in (None, d):
-        res = decide(g, witnesses=True, decomposition=dec)
-        assert Counter(res.shapes) == shapes
-        assert [len(res.witness_a), len(res.witness_b)] == [3, 4]
+    res = decide(g, witnesses=True)
+    assert Counter(res.shapes) == shapes
+    assert [len(res.witness_a), len(res.witness_b)] == [3, 4]
     assert_exact_pair(g, (res.witness_a, res.witness_b), res.witness_status)
 
 
@@ -235,7 +237,8 @@ def test_decide_witnesses_match_extract_witnesses(g):
     pair, status = extract_witnesses(g)
     assert (d.witness_a, d.witness_b, d.witness_status) == (*pair, status)
     assert_exact_pair(g, pair, status)
-    # the benchmark's call: shapes from decide on a given decomposition
+    # the benchmark's call form: the shapes and decomposition it passes
+    # are ignored
     dec = decompose(g)
     assert extract_witnesses(g, decide(g, decomposition=dec).shapes, decomposition=dec) == (pair, status)
 
@@ -251,11 +254,14 @@ def test_decide_matches_brute_force_on_structured_graphs(g):
         assert isinstance(d, AllCyclesEqual) and d.r == lengths.pop()
     else:
         assert isinstance(d, DistinctLengths)
-    # the one-pass path and the given-decomposition path agree
-    given_d = decide(g, decomposition=decompose(g))
-    assert repr(d) == repr(given_d) and d.notes == given_d.notes
-    assert ([getattr(s, "chains", None) for s in getattr(d, "shapes", ())]
-            == [getattr(s, "chains", None) for s in getattr(given_d, "shapes", ())])
+    # the shapes, chains included, are reference_classify's on
+    # decompose's blocks, and a note marks exactly the disconnected inputs
+    expected = tuple(reference_classify(b) for b in decompose(g).cycle_blocks)
+    shapes = getattr(d, "shapes", ())
+    assert repr(shapes) == repr(expected)
+    assert ([getattr(s, "chains", None) for s in shapes]
+            == [getattr(s, "chains", None) for s in expected])
+    assert bool(d.notes) == (not is_connected(g))
 
 
 def test_decide_odd_wedge():
@@ -307,10 +313,11 @@ def test_odd_acceptance_has_only_cycle_blocks():
 
 
 def test_decide_disconnected_notes_with_given_decomposition():
+    # a given decomposition is ignored: the pass finds the isolated vertex
     g = build(4, [(0, 1), (1, 2), (2, 0)])  # vertex 3 is isolated
-    d = decide(g, decomposition=decompose(g))
-    assert isinstance(d, AllCyclesEqual) and d.r == 3
-    assert d.notes == ("input is disconnected; decided over all components",)
+    for d in (decide(g), decide(g, decomposition=decompose(g))):
+        assert isinstance(d, AllCyclesEqual) and d.r == 3
+        assert d.notes == ("input is disconnected; decided over all components",)
 
 
 def test_decide_disconnected_notes():
@@ -468,10 +475,14 @@ def test_every_rejection_of_a_large_block_is_exact(g):
 
 
 def test_theta_witnesses_from_hand_made_shape():
+    # the pair comes from the chains of reference_classify's shape; a
+    # hand-made shape and decomposition, passed along, are ignored
     g = book(BookParams(1, 3, 2))
-    d = decompose(g)
+    expected = reference_classify(single_block(g))
+    pair = (recognition._theta_witness_pair(expected.chains), "exact")
     shapes = (OtherShape("endpoints-adjacent-structure"),)
-    assert extract_witnesses(g, shapes, decomposition=d) == extract_witnesses(g)
+    assert extract_witnesses(g) == pair
+    assert extract_witnesses(g, shapes, decomposition=decompose(g)) == pair
 
 
 K4_C3 = wedge(WedgeSpec((complete(4), cycle(3))))
@@ -496,12 +507,21 @@ C3_C4 = wedge(WedgeSpec((cycle(3), cycle(4))))
         "misstated-r", "other-shape-of-cycle-block", "cross-block-stated-r",
         "K4-called-cycle", "K4-called-book"])
 def test_shapes_other_than_the_blocks_own_raise(g, shapes):
-    # every block is classified by its own classifier; shapes are only
-    # checked against those, never read in their place
-    for d in (None, decompose(g)):
-        assert decide(g, decomposition=d).shapes != shapes
-        with pytest.raises(ValueError, match=r"must be decide\(g\)\.shapes"):
-            extract_witnesses(g, shapes, decomposition=d)
+    # decide's decomposition and extract_witnesses's shapes and
+    # decomposition are accepted and ignored (these shapes raised
+    # ValueError while they were checked): in the benchmark's call form,
+    # shapes that misstate a block give the same pair, or the same
+    # NotRejectedError, as a call without them
+    def outcome(*args, **kwargs):
+        try:
+            return extract_witnesses(g, *args, **kwargs)
+        except NotRejectedError as exc:
+            return repr(exc)
+
+    d = decompose(g)
+    assert decide(g).shapes != shapes
+    assert repr(decide(g, decomposition=d)) == repr(decide(g))
+    assert outcome(shapes, decomposition=d) == outcome()
 
 
 def test_other_shape_chains_stay_out_of_eq_and_repr():
