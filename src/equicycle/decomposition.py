@@ -15,7 +15,8 @@ top's neighbours in a block are read off the other vertices' lists.
 
 from dataclasses import dataclass
 
-from .graph import Graph
+from .errors import NotABlockError
+from .graph import build
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,16 @@ class Block:
     edges: tuple
 
     def to_graph(self):
-        """Dense relabeling of the block; returns (graph, dense->parent
-        id mapping)."""
+        """Dense relabeling of the block, made by build; returns (graph,
+        dense->parent id mapping).  An edge end outside vertices raises
+        NotABlockError, a loop or repeated edge build's error (dense ids)."""
         mapping = list(self.vertices)
         index = {v: i for i, v in enumerate(mapping)}
-        return Graph(len(mapping), [(index[u], index[v]) for u, v in self.edges]), mapping
+        try:
+            pairs = [(index[u], index[v]) for u, v in self.edges]
+        except KeyError as exc:
+            raise NotABlockError(f"edge end {exc.args[0]} is not a vertex of the block") from None
+        return build(len(mapping), pairs), mapping
 
 
 @dataclass(frozen=True)
@@ -45,10 +51,9 @@ class BlockDecomposition:
 def _biconnected_components(vertex_count, adjacency):
     """Iterative Hopcroft-Tarjan.  Returns (each biconnected component
     as (list of its vertices, top last, edge count) in closing order;
-    articulation points; number of connected components)."""
+    number of connected components)."""
     disc = [0] * vertex_count  # 0 = unvisited, else 1-based time
     low = [0] * vertex_count
-    cuts = set()
     comps = []
     timer = 1
     roots = 0  # one DFS per connected component
@@ -62,7 +67,6 @@ def _biconnected_components(vertex_count, adjacency):
         timer += 1
         # a frame's marks: vertex-stack height and edge count below its tree edge
         frames = [(root, -1, iter(adjacency[root]), 0, 0)]
-        root_children = 0
         while frames:
             v, parent, it, vmark, emark = frames[-1]
             advanced = False
@@ -95,13 +99,7 @@ def _biconnected_components(vertex_count, adjacency):
                     comps.append((vertices, edges - emark))
                     del vstack[vmark:]
                     edges = emark
-                    if u == root:
-                        root_children += 1
-                    else:
-                        cuts.add(u)
-        if root_children > 1:
-            cuts.add(root)
-    return comps, cuts, roots
+    return comps, roots
 
 
 def top_neighbours(adj, vertices):
@@ -125,7 +123,7 @@ def cycle_block_degrees(g):
     block or in a block closed earlier with it on top, and the top,
     last in degrees too, has the rest of the 2m ends."""
     adj = g.adjacency
-    comps, _, component_count = _biconnected_components(g.vertex_count, adj)
+    comps, component_count = _biconnected_components(g.vertex_count, adj)
     blocks = []
     given = {}  # a top vertex's edges in the blocks closed so far
     for vertices, m in comps:
@@ -144,13 +142,17 @@ def cycle_block_degrees(g):
 
 
 def decompose(g):
-    """Full decomposition: bridges, cut vertices, and cycle blocks
-    ordered by least contained vertex."""
+    """Full decomposition: bridges, cut vertices (those in two or more
+    biconnected components, bridges included), and cycle blocks ordered
+    by least contained vertex."""
     adj = g.adjacency
-    comps, cuts, component_count = _biconnected_components(g.vertex_count, adj)
+    comps, component_count = _biconnected_components(g.vertex_count, adj)
     bridges_ = []
     blocks = []
+    seen, cuts = set(), set()
     for vertices, m in comps:
+        cuts.update(seen.intersection(vertices))
+        seen.update(vertices)
         if m == 1:
             bridges_.append(tuple(sorted(vertices)))
             continue

@@ -5,12 +5,15 @@ neighbour tuples; the sorted edge tuple is derived from them on first
 use.  Input files may use arbitrary non-negative labels; they are
 remapped on parse and the original labels are retained on the graph for
 reporting.
-Text in serialize_edge_list's layout is read in bounded chunks, and
-every vertex gets one int object; comments, blank lines, tabs, runs of
-spaces, CRLF and ids >= 2**63 take the line-by-line reader instead.
+Graph.__init__ is the only adjacency build; build and parse_edge_list
+check what it built by one rule, and only when that fails does one walk
+over the pairs find the first bad one.  Text of any layout is read in
+bounded chunks of whole lines, and every vertex gets one int object.
 """
 
+import sys
 from array import array
+from itertools import islice
 
 from .errors import (
     BadVertexError,
@@ -21,7 +24,7 @@ from .errors import (
     UnknownEdgeError,
 )
 
-_CHUNK = 1 << 16  # characters per chunk of the bulk reader, rounded up to whole lines
+_CHUNK = 1 << 16  # characters per chunk of the reader, rounded up to whole lines
 
 
 class Graph:
@@ -33,8 +36,7 @@ class Graph:
     the original input labels (None when the ids were used as-is).
 
     The constructor takes distinct pairs of distinct vertices in
-    range(vertex_count), in any order and orientation, and does not
-    check them; `build` does.
+    range(vertex_count), in any orientation, unchecked; `build` checks.
     """
 
     __slots__ = ("vertex_count", "adjacency", "labels", "_edges")
@@ -44,20 +46,13 @@ class Graph:
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        for nbrs in adj:
+        for v, nbrs in enumerate(adj):
             nbrs.sort()
+            adj[v] = tuple(nbrs)  # each list is freed as its tuple is made
         self.vertex_count = vertex_count
-        self.adjacency = tuple(map(tuple, adj))
+        self.adjacency = tuple(adj)
         self.labels = tuple(labels) if labels is not None else None
         self._edges = None
-
-    @classmethod
-    def _of_sorted(cls, adjacency, labels):
-        """The graph of these sorted neighbour tuples, taken unchecked."""
-        g = cls.__new__(cls)
-        g.vertex_count, g.adjacency, g._edges = len(adjacency), adjacency, None
-        g.labels = tuple(labels) if labels is not None else None
-        return g
 
     @property
     def edges(self):
@@ -82,27 +77,45 @@ class Graph:
         return f"Graph({self.vertex_count}, {self.edge_count} edges)"
 
 
+def _simple(adjacency, ends):
+    """The rule on lists built from pairs with `ends` ends in range(n):
+    no list holds a neighbour twice, as a loop or repeated edge would."""
+    return sum(map(len, map(set, adjacency))) == ends
+
+
+def _first_fault(n, pairs):
+    """(index, build's error) of the first pair with an end outside
+    range(n), equal ends, or an edge seen before."""
+    seen = set()
+    for i, (u, v) in enumerate(pairs):
+        for x in (u, v):
+            if not 0 <= x < n:
+                return i, BadVertexError(x, n)
+        if u == v:
+            return i, SelfLoopError(u)
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            return i, DuplicateEdgeError(u, v)
+        seen.add(e)
+
+
 def build(vertex_count, edge_pairs, labels=None):
     """Validate and construct a Graph from explicit edge pairs.
 
-    Raises SelfLoopError, DuplicateEdgeError or BadVertexError rather
-    than silently repairing the input.
+    The pairs must make a simple graph: ends in range(vertex_count), no
+    loop, no edge twice in either orientation.  The first bad pair raises
+    BadVertexError, SelfLoopError or DuplicateEdgeError; nothing is repaired.
     """
-    seen = set()
-    edges = []
-    for u, v in edge_pairs:
-        if not (0 <= u < vertex_count):
-            raise BadVertexError(u, vertex_count)
-        if not (0 <= v < vertex_count):
-            raise BadVertexError(v, vertex_count)
-        if u == v:
-            raise SelfLoopError(u)
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise DuplicateEdgeError(u, v)
-        seen.add(e)
-        edges.append(e)
-    return Graph(vertex_count, edges, labels)
+    pairs = list(edge_pairs)  # walked again when the rule fails
+    try:
+        g = Graph(vertex_count, pairs, labels)
+    except IndexError:  # an end >= vertex_count, or < -vertex_count
+        g = None
+    # an end in -vertex_count..-1 indexes a list, and is then first in some tuple
+    if (g is None or not _simple(g.adjacency, 2 * len(pairs))
+            or pairs and min(filter(None, g.adjacency))[0] < 0):
+        raise _first_fault(vertex_count, pairs)[1]
+    return g
 
 
 def degree(g, v):
@@ -136,139 +149,108 @@ def subdivide(g, e, t):
 def parse_edge_list(text):
     """Parse the line-oriented edge-list format.
 
-    Lines starting with '#' and blank lines are ignored.  An optional
-    first significant line `vertices N` fixes the vertex count, in
-    which case ids must be < N and are used directly.  Without the
-    header, labels are collected and remapped to dense ids.
-
-    Text laid out as serialize_edge_list writes it is read in bulk, in
-    bounded chunks.  Anything else, and any loop, duplicate or id >= N,
-    goes through the line-by-line reader, which reports the first bad line.
+    Lines starting with '#' and blank lines are ignored; lines end where
+    str.splitlines ends them.  An optional first significant line
+    `vertices N` fixes the vertex count, in which case ids must be < N
+    and are used directly.  Without the header, labels are collected
+    and remapped to dense ids.  ParseError names the first bad line; a
+    loop, duplicate or id >= N is looked for, by build's rule, once
+    every line has been read, and is named by its input labels.
     """
-    g = _parse_bulk(text)
-    return g if g is not None else _parse_lines(text)
-
-
-def _parse_bulk(text):
-    """The graph of text made of an optional `vertices N` line and at
-    least one `u v` line: single spaces, '\n' line ends, ASCII-digit ids
-    below 2**63, no loop, duplicate or id >= N.  None for any other text.
-    The ids go through chunks of whole lines into one int64 array, and
-    the adjacency through a table of one int object per vertex."""
-    end = len(text)
-    while end and text[end - 1] == "\n":
-        end -= 1
-    pos = 0
-    n = None
-    if text.startswith("vertices "):
-        pos = text.find("\n", 0, end) + 1
-        header = text[9:pos - 1]
-        if not (pos and header.isascii() and header.isdigit() and len(header) < 19):
-            return None  # an N of 19 digits or more is left to the line loop
-        n = int(header)
-    ids = array("q")
-    while pos < end:
-        stop = text.find("\n", pos + _CHUNK, end)
-        if stop < 0:
-            stop = end
-        chunk = text[pos:stop]
-        tokens = chunk.split()
-        # the chunk is its tokens, two to a line: no blank line, comment,
-        # other whitespace, or line of another length
-        if (chunk != "\n".join(map(" ".join, zip(tokens[0::2], tokens[1::2])))
-                or not (chunk.isascii() and "".join(tokens).isdigit())):
-            return None
-        try:
-            ids.fromlist(list(map(int, tokens)))
-        except (OverflowError, ValueError):  # beyond int64, or the digit limit
-            return None
-        pos = stop + 1
-    if not ids:
-        return None
-    del chunk, tokens  # the last chunk's, before the graph allocates
-    labels = None
-    if n is None:
+    header, ids = _read(text)
+    n, labels = header, None
+    if header is None:
         labels = sorted(set(ids))
         n = len(labels)
+    elif n > sys.maxsize:  # more vertices than a list can hold
+        raise MemoryError
     table = list(range(n))  # the one int object of each vertex
-    if labels and labels[-1] == n - 1:
+    if not labels or labels[-1] == n - 1:
         labels = None  # the ids are already 0..n-1
-    elif labels:
+    else:
         table = dict(zip(labels, table))  # its values are the same ints
-    adj = [[] for _ in range(n)]
-    ends = iter(ids)
+    ends = map(table.__getitem__, ids)
     try:
-        for u, v in zip(ends, ends):
-            u, v = table[u], table[v]
-            adj[u].append(v)
-            adj[v].append(u)
+        g = Graph(n, zip(ends, ends), labels)
     except IndexError:  # an id >= N
-        return None
-    # a loop or a duplicate edge puts one neighbour twice into a vertex's list
-    if sum(map(len, map(set, adj))) != len(ids):
-        return None
-    for v, nbrs in enumerate(adj):
-        nbrs.sort()
-        adj[v] = tuple(nbrs)  # each list is freed as its tuple is made
-    return Graph._of_sorted(tuple(adj), labels)
+        g = None
+    if g is None or not _simple(g.adjacency, len(ids)):
+        # the walk reads input labels, so its errors name them; a header
+        # is the first significant line
+        i, fault = _first_fault(labels[-1] + 1 if labels else n, zip(ids[0::2], ids[1::2]))
+        if isinstance(fault, BadVertexError):
+            fault = f"vertex id {max(ids[2 * i], ids[2 * i + 1])} >= declared count {n}"
+        lines = enumerate((line for chunk in _chunks(text) for line in chunk.splitlines()), 1)
+        significant = (no for no, line in lines if line.strip()[:1] not in ("", "#"))
+        raise ParseError(next(islice(significant, i + (header is not None), None)), str(fault))
+    return g
 
 
-def _parse_lines(text):
+def _chunks(text):
+    """text in chunks of whole lines: its first line alone, where a
+    `vertices N` header stands, then about _CHUNK characters each."""
+    pos, end, size = 0, len(text), 0
+    while pos < end:
+        stop = text.find("\n", pos + size) + 1 or end
+        yield text[pos:stop]
+        pos, size = stop, _CHUNK
+
+
+def _read(text):
+    """The header's N (None without one) and the ids of the edge lines,
+    two to a line in order: one int64 array, or a list once an id is
+    2**63 or more.  Raises ParseError for the first bad line."""
     header = None
-    pairs = []  # (line_no, u, v)
-    first_significant = True
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if first_significant and parts[0] == "vertices":
-            if len(parts) != 2:
-                raise ParseError(line_no, "malformed header, expected 'vertices <N>'")
+    ids = array("q")
+    extend = ids.fromlist
+    line_no = 0
+    for chunk in _chunks(text):
+        tokens = chunk.split()
+        values = None
+        # serialize_edge_list's layout: the chunk is its tokens, two to a
+        # line, in ASCII digits
+        pairs = "\n".join(map(" ".join, zip(tokens[0::2], tokens[1::2])))
+        if (chunk.startswith(pairs) and chunk[len(pairs):] in ("\n", "")
+                and chunk.isascii() and "".join(tokens).isdigit()):
             try:
-                header = int(parts[1])
-            except ValueError:
-                raise ParseError(line_no, f"bad vertex count {parts[1]!r}") from None
-            if header < 0:
-                raise ParseError(line_no, "vertex count must be non-negative")
-            first_significant = False
-            continue
-        first_significant = False
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected two vertex ids, got {line!r}")
+                values = list(map(int, tokens))
+                line_no += len(tokens) // 2
+            except ValueError:  # beyond the digit limit: the lines below name the line
+                pass
+        if values is None:
+            values = []
+            for line in chunk.splitlines():
+                line_no += 1
+                parts = line.split()
+                if not parts or parts[0][0] == "#":
+                    continue
+                # the header can only be the first significant line
+                if parts[0] == "vertices" and header is None and not (ids or values):
+                    if len(parts) != 2:
+                        raise ParseError(line_no, "malformed header, expected 'vertices <N>'")
+                    try:
+                        header = int(parts[1])
+                    except ValueError:
+                        raise ParseError(line_no, f"bad vertex count {parts[1]!r}") from None
+                    if header < 0:
+                        raise ParseError(line_no, "vertex count must be non-negative")
+                    continue
+                if len(parts) != 2:
+                    raise ParseError(line_no, f"expected two vertex ids, got {line.strip()!r}")
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise ParseError(line_no, f"non-integer vertex id in {line.strip()!r}") from None
+                if u < 0 or v < 0:
+                    raise ParseError(line_no, "vertex ids must be non-negative")
+                values += u, v
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(line_no, f"non-integer vertex id in {line!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(line_no, "vertex ids must be non-negative")
-        pairs.append((line_no, u, v))
-
-    n, remap, labels = header, None, None
-    if header is None:
-        labels = sorted({u for _, u, _ in pairs} | {v for _, _, v in pairs})
-        n = len(labels)
-        remap = {lab: i for i, lab in enumerate(labels)}
-        if not labels or labels[-1] == n - 1:
-            labels = None  # the labels are already 0..n-1
-
-    seen = set()
-    edges = []
-    for line_no, a, b in pairs:  # input labels, named in the messages
-        if remap is not None:
-            u, v = remap[a], remap[b]
-        elif a >= n or b >= n:
-            raise ParseError(line_no, f"vertex id {max(a, b)} >= declared count {n}")
-        else:
-            u, v = a, b
-        if u == v:
-            raise ParseError(line_no, f"self-loop at vertex {a}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise ParseError(line_no, f"duplicate edge ({a}, {b})")
-        seen.add(e)
-        edges.append(e)
-    return Graph(n, edges, labels)
+            extend(values)
+        except OverflowError:  # an id of 2**63 or more: the ids go on in a list
+            ids = ids.tolist() + values
+            extend = ids.extend
+        del tokens, pairs, values  # before the next chunk is split
+    return header, ids
 
 
 def serialize_edge_list(g):

@@ -144,7 +144,8 @@ def classify_block(block):
     the Hopcroft-Tarjan pass that decide makes; an OtherShape's chains
     are mapped back to the block's vertex ids.  Raises NotABlockError
     when the argument is not one 2-connected block: one component whose
-    one cycle block holds every vertex.
+    one cycle block holds every vertex, with every edge end among them;
+    a loop or repeated edge raises build's error (see Block.to_graph).
     """
     h, mapping = block.to_graph()
     component_count, rows = _cycle_blocks(h)

@@ -12,16 +12,19 @@ import random
 from collections import defaultdict, deque
 
 from equicycle import (
+    BadVertexError,
     BookShape,
     BudgetExceededError,
     CycleReport,
     CycleShape,
+    DuplicateEdgeError,
     Graph,
     NotABlockError,
     OtherShape,
     OverBudgetError,
     ParseError,
     SearchBudget,
+    SelfLoopError,
     cycle_spectrum,
     decompose,
 )
@@ -322,6 +325,27 @@ def reference_require_block(block):
                 "block is disconnected" if skip is None
                 else f"block has cut vertex {skip}"
             )
+
+
+def reference_build(vertex_count, edge_pairs, labels=None):
+    """The library's earlier build, one seen-set loop over the pairs:
+    same graph and first error, kept as the reference for build's one
+    rule and first-fault walk."""
+    seen = set()
+    edges = []
+    for u, v in edge_pairs:
+        if not (0 <= u < vertex_count):
+            raise BadVertexError(u, vertex_count)
+        if not (0 <= v < vertex_count):
+            raise BadVertexError(v, vertex_count)
+        if u == v:
+            raise SelfLoopError(u)
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise DuplicateEdgeError(u, v)
+        seen.add(e)
+        edges.append(e)
+    return Graph(vertex_count, edges, labels)
 
 
 def reference_parse_edge_list(text):

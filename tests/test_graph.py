@@ -10,6 +10,7 @@ from equicycle import (
     BookParams,
     DuplicateEdgeError,
     Graph,
+    GraphError,
     ParseError,
     SelfLoopError,
     TooSmallError,
@@ -26,9 +27,12 @@ from equicycle import (
     subdivide,
 )
 from equicycle import graph
-from equicycle.graph import _parse_bulk
-
-from brute import connected_components, graph_cycle_lengths, reference_parse_edge_list
+from brute import (
+    connected_components,
+    graph_cycle_lengths,
+    reference_build,
+    reference_parse_edge_list,
+)
 
 
 def test_build_triangle():
@@ -52,6 +56,51 @@ def test_build_rejects_duplicate_edge():
 def test_build_rejects_out_of_range():
     with pytest.raises(BadVertexError):
         build(3, [(0, 3)])
+
+
+@st.composite
+def pair_lists(draw):
+    """A vertex count and pairs for build: distinct edges in any
+    orientation, with bad pairs mixed in at any place: loops, repeats in
+    either orientation, negative ids and ids >= n."""
+    n = draw(st.integers(0, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=15,
+                          unique_by=frozenset)) if n > 1 else []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["loop", "repeat", "negative", "beyond"]))
+        if kind == "repeat" and pairs:
+            u, v = draw(st.sampled_from(pairs))
+            bad = draw(st.sampled_from([(u, v), (v, u)]))
+        elif kind == "loop" and n:
+            v = draw(st.integers(0, n - 1))
+            bad = (v, v)
+        else:
+            odd = (draw(st.integers(-2 * n - 2, -1)) if kind == "negative"
+                   else draw(st.sampled_from([n, n + 1, 2 * n, 2**63, 10**30])))
+            other = draw(st.integers(-n - 1, n + 1))
+            bad = draw(st.sampled_from([(odd, other), (other, odd)]))
+        pairs.insert(draw(st.integers(0, len(pairs))), bad)
+    return n, pairs
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair_lists(), st.booleans(), st.booleans())
+def test_build_matches_reference(case, as_generator, labelled):
+    """build's one rule and first-fault walk raise what the seen-set
+    loop raised, for the same pair, or give the same graph."""
+    n, pairs = case
+    labels = [f"v{i}" for i in range(n)] if labelled else None
+    try:
+        expected = reference_build(n, pairs, labels)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            build(n, iter(pairs) if as_generator else pairs, labels)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    g = build(n, iter(pairs) if as_generator else pairs, labels)
+    assert (g.vertex_count, g.adjacency, g.labels) == (
+        expected.vertex_count, expected.adjacency, expected.labels)
 
 
 def test_degree():
@@ -183,19 +232,17 @@ def labelled_edge_lists(draw):
 @given(labelled_edge_lists(), st.data())
 def test_parse_serialize_roundtrip_keeps_labelled_edges(case, data):
     pairs, text = case
-    assert _parse_bulk(text) is not None  # the bulk reader takes this layout
     g = parse_edge_list(text)
     names = g.labels or range(g.vertex_count)
     assert {frozenset((names[u], names[v])) for u, v in g.edges} == set(map(frozenset, pairs))
     assert parse_edge_list(serialize_edge_list(g)) == g
-    # comments, blank lines and CRLF send the same edges through the line loop
+    # comments, blank lines and CRLF around the same edges give the same graph
     end = data.draw(st.sampled_from(["\n", "\r\n"]))
     lines = text.splitlines()
     extras = data.draw(st.lists(st.sampled_from(["# comment", "#", "", "  "]), max_size=3))
     for extra in ["# comment", *extras]:
         lines.insert(data.draw(st.integers(0, len(lines))), extra)
     decorated = end.join(lines) + end
-    assert _parse_bulk(decorated) is None
     h = parse_edge_list(decorated)
     assert (h.vertex_count, h.adjacency, h.labels) == (g.vertex_count, g.adjacency, g.labels)
 
@@ -351,13 +398,14 @@ def test_bad_line_at_every_chunk_boundary(monkeypatch, chunk, bad):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, graph._CHUNK])
 def test_ids_beyond_int64_go_through_the_line_loop(monkeypatch, chunk):
+    # named for the separate line loop that once took these ids; the one
+    # reader now moves its ids from an int64 array to a list
     monkeypatch.setattr(graph, "_CHUNK", chunk)
     top = 2**63 - 1
     fits = f"{top} 5\n5 {top - 1}\n"
-    assert _parse_bulk(fits).labels == (5, top - 1, top)
+    assert parse_edge_list(fits).labels == (5, top - 1, top)
     for big in (2**63, 2**64 + 3, 10**30):
         text = f"{big} 5\n5 {top}\n{top} {big}\n"
-        assert _parse_bulk(text) is None
         g = parse_edge_list(text)
         expected = reference_parse_edge_list(text)
         assert g.labels == expected.labels == (5, top, big)
@@ -366,11 +414,11 @@ def test_ids_beyond_int64_go_through_the_line_loop(monkeypatch, chunk):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, graph._CHUNK])
 def test_header_file_without_final_newline_is_read_in_bulk(monkeypatch, chunk):
+    # named for the bulk reader that once took only this layout
     monkeypatch.setattr(graph, "_CHUNK", chunk)
     text = "vertices 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0"
-    g = _parse_bulk(text)
-    assert g is not None and g == _parse_bulk(text + "\n") == cycle(6)
-    assert parse_edge_list(text) == g
+    g = parse_edge_list(text)
+    assert g == parse_edge_list(text + "\n") == cycle(6)
 
 
 def test_adjacency_shares_one_int_per_vertex():
@@ -381,13 +429,15 @@ def test_adjacency_shares_one_int_per_vertex():
     for text in (f"vertices {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs),
                  "".join(f"{10**12 + 7 * v} {10**12 + 7 * u}\n" for u, v in pairs)):
         g = parse_edge_list(text)
-        assert _parse_bulk(text) is not None and g.edge_count == len(pairs)
+        assert g.edge_count == len(pairs)
         assert len({id(x) for t in g.adjacency for x in t}) <= g.vertex_count == n
 
 
 def test_bulk_parse_holds_no_token_list():
     """Parsing never holds what `text.split()` of the whole file holds:
-    its peak above the graph it returns is below the token list's."""
+    its peak above the graph it returns is below the token list's, in
+    serialize_edge_list's layout, with CRLF line ends, and after a
+    leading comment line."""
     rng = random.Random(3)
     n = 10_000
     edges = set()
@@ -395,15 +445,16 @@ def test_bulk_parse_holds_no_token_list():
         u, v = sorted(rng.sample(range(n), 2))
         edges.add((u, v))
     text = serialize_edge_list(Graph(n, edges))
-    tracemalloc.start()
-    try:
-        g = parse_edge_list(text)
-        retained, parse_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        tokens = text.split()
-        split_peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert g.edge_count == len(tokens) // 2 - 1
-    assert parse_peak - retained < split_peak
+    for text in (text, text.replace("\n", "\r\n"), "# comment\n" + text):
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(text)
+            retained, parse_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            tokens = text.split()
+            split_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == len(edges) and tokens
+        assert parse_peak - retained < split_peak

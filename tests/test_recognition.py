@@ -13,11 +13,13 @@ from equicycle import (
     BookShape,
     CycleShape,
     DistinctLengths,
+    DuplicateEdgeError,
     NotABlockError,
     NotRejectedError,
     OtherShape,
     OverBudgetError,
     SearchBudget,
+    SelfLoopError,
     WedgeSpec,
     book,
     build,
@@ -192,6 +194,17 @@ def test_classify_rejects_non_block():
         assert refuses(reference_require_block, block)
         with pytest.raises(NotABlockError):
             classify_block(block)
+
+
+def test_classify_block_checks_its_edges():
+    # the copy is made by build: a repeated edge and a loop, once taken
+    # for a 3-cycle, raise its errors, and an edge end outside the
+    # vertices, once a bare KeyError, is not a block
+    triangle = ((0, 1), (1, 2), (0, 2))
+    for extra, error in (((0, 1), DuplicateEdgeError), ((1, 1), SelfLoopError),
+                         ((1, 5), NotABlockError)):
+        with pytest.raises(error):
+            classify_block(Block((0, 1, 2), triangle + (extra,)))
 
 
 def non_blocks_around(g, block):
