@@ -156,10 +156,12 @@ def decompose(g):
         if m == 1:
             bridges_.append(tuple(sorted(vertices)))
             continue
-        u, top, inside = vertices[-1], top_neighbours(adj, vertices), set(vertices)
+        u, inside = vertices[-1], set(vertices)
         vertices.sort()
-        edges = [(y, z) for y in vertices for z in (top if y == u else adj[y])
-                 if y < z and z in inside]
+        # an edge to the top u is read at its other end; the sort places it
+        edges = [(y, z) if y < z else (z, y) for y in vertices if y != u
+                 for z in adj[y] if (y < z or z == u) and z in inside]
+        edges.sort()
         blocks.append(Block(tuple(vertices), tuple(edges)))
     blocks.sort(key=lambda b: b.vertices[0])
     return BlockDecomposition(

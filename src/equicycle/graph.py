@@ -8,7 +8,9 @@ reporting.
 Graph.__init__ is the only adjacency build; build and parse_edge_list
 check what it built by one rule, and only when that fails does one walk
 over the pairs find the first bad one.  Text of any layout is read in
-bounded chunks of whole lines, and every vertex gets one int object.
+bounded chunks of whole lines; one byte-skeleton check per chunk sends
+serialize_edge_list's layout past the line loop.  The ids are mapped
+once into one dense list, in which every vertex has one int object.
 """
 
 import sys
@@ -169,14 +171,16 @@ def parse_edge_list(text):
         labels = None  # the ids are already 0..n-1
     else:
         table = dict(zip(labels, table))  # its values are the same ints
-    ends = map(table.__getitem__, ids)
-    try:
-        g = Graph(n, zip(ends, ends), labels)
+    try:  # one pointer per id, where the array held 8 bytes
+        ends = list(map(table.__getitem__, ids))
     except IndexError:  # an id >= N
-        g = None
-    if g is None or not _simple(g.adjacency, len(ids)):
+        ends = None
+    del ids, table  # before the build
+    g = None if ends is None else Graph(n, zip(*[iter(ends)] * 2), labels)
+    if g is None or not _simple(g.adjacency, len(ends)):
         # the walk reads input labels, so its errors name them; a header
         # is the first significant line
+        ids = _read(text)[1]
         i, fault = _first_fault(labels[-1] + 1 if labels else n, zip(ids[0::2], ids[1::2]))
         if isinstance(fault, BadVertexError):
             fault = f"vertex id {max(ids[2 * i], ids[2 * i + 1])} >= declared count {n}"
@@ -199,7 +203,9 @@ def _chunks(text):
 def _read(text):
     """The header's N (None without one) and the ids of the edge lines,
     two to a line in order: one int64 array, or a list once an id is
-    2**63 or more.  Raises ParseError for the first bad line."""
+    2**63 or more.  A chunk whose digits leave the skeleton of
+    serialize_edge_list's layout is split in one step, any other read
+    line by line.  Raises ParseError for the first bad line."""
     header = None
     ids = array("q")
     extend = ids.fromlist
@@ -207,14 +213,15 @@ def _read(text):
     for chunk in _chunks(text):
         tokens = chunk.split()
         values = None
-        # serialize_edge_list's layout: the chunk is its tokens, two to a
-        # line, in ASCII digits
-        pairs = "\n".join(map(" ".join, zip(tokens[0::2], tokens[1::2])))
-        if (chunk.startswith(pairs) and chunk[len(pairs):] in ("\n", "")
-                and chunk.isascii() and "".join(tokens).isdigit()):
+        # less its digits the layout leaves " \n" per line, the last "\n"
+        # only where the chunk ends in one: then its 2k runs fill every gap
+        k = len(tokens) // 2
+        skeleton = b" \n" * k if chunk[-1] == "\n" else (b" \n" * k)[:-1]
+        if (2 * k == len(tokens) and chunk.isascii()
+                and chunk.encode().translate(None, b"0123456789") == skeleton):
             try:
                 values = list(map(int, tokens))
-                line_no += len(tokens) // 2
+                line_no += k
             except ValueError:  # beyond the digit limit: the lines below name the line
                 pass
         if values is None:
@@ -249,7 +256,7 @@ def _read(text):
         except OverflowError:  # an id of 2**63 or more: the ids go on in a list
             ids = ids.tolist() + values
             extend = ids.extend
-        del tokens, pairs, values  # before the next chunk is split
+        del tokens, values  # before the next chunk is split
     return header, ids
 
 

@@ -107,8 +107,9 @@ def _hub_chains(adj, inside, a, vertices=None):
             chain = [a, w]
             prev, cur = a, w
             while cur != a and inside[cur] == 2:
-                x, y = (top_neighbours(adj, vertices) if cur == top
-                        else [z for z in adj[cur] if z in inside])
+                # a vertex with two neighbours in all has both in the block
+                x, y = (adj[cur] if len(adj[cur]) == 2 else top_neighbours(adj, vertices)
+                        if cur == top else [z for z in adj[cur] if z in inside])
                 prev, cur = cur, y if x == prev else x
                 chain.append(cur)
             yield chain

@@ -396,6 +396,31 @@ def test_bad_line_at_every_chunk_boundary(monkeypatch, chunk, bad):
             assert got.value.line == len(header) + at + 1
 
 
+# one odd line among serialize_edge_list's lines: each must fail the
+# bulk layout check, or pass it and read as the line loop reads it
+ODD_LINES = ([f"{odd} 77" for odd in ODD_IDS]
+             + ["5\t77", "5  77", " 5 77", "5 77 "]  # other whitespace
+             + [f"5 77{end}6 78" for end in ("\r\n", "\r", "\x0c", "\u2028")]
+             + ["5\n6 7 8",  # one token, then three: an even count
+                # a one-token line with a space, then a one-token line: as
+                # the last lines of a text without a final newline, they
+                # leave the skeleton of two canonical lines
+                "5 \n77", " 5\n77"])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, graph._CHUNK])
+@pytest.mark.parametrize("odd", ODD_LINES)
+def test_skeleton_rule_at_one_odd_line(monkeypatch, chunk, odd):
+    """The odd line in the middle or last, with and without a header and
+    a final newline, parses as the line-by-line reference parses it."""
+    monkeypatch.setattr(graph, "_CHUNK", chunk)
+    for header in ([], ["vertices 100"]):
+        for at in (len(EDGE_LINES) // 2, len(EDGE_LINES)):
+            for end in ("\n", ""):
+                lines = header + EDGE_LINES[:at] + [odd] + EDGE_LINES[at:]
+                assert_parses_as_reference("\n".join(lines) + end)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64, graph._CHUNK])
 def test_ids_beyond_int64_go_through_the_line_loop(monkeypatch, chunk):
     # named for the separate line loop that once took these ids; the one
@@ -436,8 +461,9 @@ def test_adjacency_shares_one_int_per_vertex():
 def test_bulk_parse_holds_no_token_list():
     """Parsing never holds what `text.split()` of the whole file holds:
     its peak above the graph it returns is below the token list's, in
-    serialize_edge_list's layout, with CRLF line ends, and after a
-    leading comment line."""
+    serialize_edge_list's layout, with CRLF line ends, after a leading
+    comment line, and with no header and sparse shuffled labels, where
+    the ids are remapped through a dict."""
     rng = random.Random(3)
     n = 10_000
     edges = set()
@@ -445,7 +471,10 @@ def test_bulk_parse_holds_no_token_list():
         u, v = sorted(rng.sample(range(n), 2))
         edges.add((u, v))
     text = serialize_edge_list(Graph(n, edges))
-    for text in (text, text.replace("\n", "\r\n"), "# comment\n" + text):
+    labels = rng.sample(range(10**9), n)
+    shuffled = rng.sample(sorted(edges), len(edges))
+    sparse = "".join(f"{labels[u]} {labels[v]}\n" for u, v in shuffled)
+    for text in (text, text.replace("\n", "\r\n"), "# comment\n" + text, sparse):
         tracemalloc.start()
         try:
             g = parse_edge_list(text)
