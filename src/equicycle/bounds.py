@@ -2,17 +2,22 @@
 length, the extremal constructions achieving them, and arithmetic
 certificates that a graph must contain two distinct cycle lengths.
 
-The bounds apply to simple, connected graphs; with a target cycle
-length r given they additionally presume some cycle of length r
-exists.  certify_distinct is pure arithmetic over (n, m, r);
-certify_graph keeps those premises honest for a concrete graph.
+The paper proves the bounds for connected graphs, but they hold for
+every simple graph.  Wedging one vertex of each of c components together
+gives a connected graph on n - c + 1 vertices with the same edges and
+cycle lengths, and both bounds strictly increase with n (the wedge keeps
+the r vertices of an r-cycle, and one on at most 3 vertices has at most
+3 < 2n - 4 edges).  With a target cycle length r given, the bounds
+presume some cycle of length r exists.  certify_distinct is pure
+arithmetic over (n, m, r); certify_graph checks that premise for a
+concrete graph.
 """
 
 from dataclasses import dataclass
 
 from .errors import BadRangeError
 from .generators import BookParams, WedgeSpec, book, cycle, path, wedge
-from .recognition import _common_r, _cycle_blocks
+from .recognition import Acyclic, AllCyclesEqual, decide
 
 RULE_WITH_R = "single-cycle-length edge bound for known r"
 RULE_ANY_R = "single-cycle-length edge bound 2n-4 (any r)"
@@ -20,8 +25,9 @@ RULE_ANY_R = "single-cycle-length edge bound 2n-4 (any r)"
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Maximum edge count over connected n-vertex graphs whose cycle
-    spectrum is {r} (r = None: maximum over all r, which is 2n-4).
+    """Maximum edge count over n-vertex graphs whose cycle spectrum is
+    {r} (r = None: maximum over all r, which is 2n-4), connected or not:
+    a disconnected graph wedges into a connected one on fewer vertices.
 
     For even r, p and c are the extremal book page count and tail path
     length; for odd r they are the cycle count and tail path length."""
@@ -49,7 +55,7 @@ def max_edges(n, r):
     if r < 3:
         raise BadRangeError(f"cycle length {r} < 3")
     if n < r:
-        raise BadRangeError(f"an {r}-cycle does not fit in {n} vertices")
+        raise BadRangeError(f"no cycle of length {r} fits in {n} vertices")
     if r % 2 == 0:
         half = r // 2
         p = (n - half - 1) // (half - 1)
@@ -84,10 +90,11 @@ def extremal(n, r):
 
 
 def certify_distinct(n, m, r=None):
-    """Arithmetic certificate: a simple, connected n-vertex graph with
-    m edges (and, if r is given, a cycle of length r) must contain two
-    cycles of different lengths whenever m exceeds the applicable bound.
-    The certificate lists these premises."""
+    """Arithmetic certificate: a simple n-vertex graph with m edges (and,
+    if r is given, a cycle of length r) must contain two cycles of
+    different lengths whenever m exceeds the applicable bound.  It need
+    not be connected: wedging its components together keeps m and the
+    cycle lengths and lowers n, and with it the bound."""
     if m < 0:
         raise BadRangeError(f"negative edge count {m}")
     if r is None:
@@ -99,26 +106,20 @@ def certify_distinct(n, m, r=None):
     verdict = (
         "must_contain_distinct_lengths" if m > rep.bound else "inconclusive"
     )
-    premises = ("simple graph", "connected")
+    premises = ("simple graph",)
     if r is not None:
         premises += (f"has a cycle of length {r}",)
     return Certificate(n, m, r, verdict, rep.bound, rule, premises)
 
 
 def certify_graph(g, r=None):
-    """Certificate for a concrete graph, with premises checked: the
-    graph must be connected, and when r is given some cycle of length r
-    must exist.  One pass of decide's Hopcroft-Tarjan classifier gives
-    both the component count and the block shapes, which settle that
-    premise in linear time: an acyclic graph, or one whose cycles all
-    have another length, has no r-cycle.  A graph that decide rejects is
-    not searched for an r-cycle, since it already has two cycle lengths,
-    the certificate's conclusion."""
-    component_count, blocks = _cycle_blocks(g)
-    if component_count > 1:
-        raise BadRangeError("certificate premises require a connected graph")
+    """certify_distinct for a concrete graph, which is simple by
+    construction and need not be connected.  Without r no pass is made.
+    With r, decide(g) checks the r-cycle premise: an acyclic graph, or
+    one whose cycles all have another length, has no r-cycle.  A graph
+    that decide rejects already has two cycle lengths, the conclusion."""
     if r is not None:
-        common = _common_r([shape for _, _, shape in blocks])
-        if not blocks or common not in (None, r):
+        d = decide(g)
+        if isinstance(d, Acyclic) or (isinstance(d, AllCyclesEqual) and d.r != r):
             raise BadRangeError(f"graph has no cycle of length {r}")
     return certify_distinct(g.vertex_count, g.edge_count, r)

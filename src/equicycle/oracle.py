@@ -35,10 +35,6 @@ class CycleReport:
     lengths: tuple
     witnesses: dict = field(default_factory=dict)
 
-    @property
-    def is_acyclic(self):
-        return not self.lengths
-
 
 def girth(g):
     """Exact girth via per-root BFS, or None if g is a forest.

@@ -38,21 +38,6 @@ def adjacency_masks(n, edges):
     return adj
 
 
-def mask_connected(n, adj):
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            nxt |= adj[b.bit_length() - 1]
-            m ^= b
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
 def brute_cycle_lengths(n, adj, cap=None):
     """All simple cycle lengths by DFS over paths rooted at their least
     vertex.  Stops early once `cap` distinct lengths are found."""

@@ -1,12 +1,12 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicycle import (
     AllCyclesEqual,
     BadRangeError,
     BookParams,
-    SearchBudget,
     WedgeSpec,
     book,
     build,
@@ -20,9 +20,9 @@ from equicycle import (
     path,
     wedge,
 )
-from equicycle import recognition
 
-from brute import graph_cycle_lengths, is_connected
+from brute import graph_cycle_lengths
+from structured import structured_graphs
 
 
 def test_max_edges_examples():
@@ -49,10 +49,10 @@ def test_max_edges_any_r():
 def test_bad_ranges():
     with pytest.raises(BadRangeError):
         max_edges(10, 2)
-    with pytest.raises(BadRangeError):
-        max_edges(3, 4)  # a 4-cycle does not fit in 3 vertices
-    with pytest.raises(BadRangeError):
-        max_edges(5, 6)  # cycle does not fit
+    with pytest.raises(BadRangeError, match="^no cycle of length 4 fits in 3 vertices$"):
+        max_edges(3, 4)
+    with pytest.raises(BadRangeError, match="^no cycle of length 6 fits in 5 vertices$"):
+        max_edges(5, 6)
     with pytest.raises(BadRangeError):
         max_edges_any_r(3)
     with pytest.raises(BadRangeError):
@@ -157,9 +157,12 @@ def test_certify_graph_checks_premises():
     assert cert.verdict == "inconclusive"
     with pytest.raises(BadRangeError):
         certify_graph(g, 6)  # no 6-cycle present
+    # the bounds need no connectivity: two disjoint triangles are certified
     disconnected = build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    with pytest.raises(BadRangeError):
-        certify_graph(disconnected)
+    cert = certify_graph(disconnected)
+    assert cert.premises == ("simple graph",)
+    assert (cert.verdict, cert.cited_bound) == ("inconclusive", 8)
+    assert certify_graph(disconnected, 3).premises == ("simple graph", "has a cycle of length 3")
 
 
 def test_certify_graph_reads_r_cycle_premise_from_decide():
@@ -177,20 +180,41 @@ def test_certify_graph_reads_r_cycle_premise_from_decide():
     assert certify_graph(h, 5).verdict == "must_contain_distinct_lengths"
 
 
-def test_certify_graph_connected_premise_matches_bfs():
-    # certify_graph reads connectivity from the component count of the
-    # Hopcroft-Tarjan pass that decide makes
+def test_certify_graph_certifies_every_small_graph():
+    # without r, every graph, connected or not, gets the arithmetic
+    # certificate of its vertex and edge counts
     for n in (4, 5):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             g = build(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-            if is_connected(g):
-                certify_graph(g)
-            else:
-                with pytest.raises(BadRangeError, match="connected graph"):
-                    certify_graph(g)
-    empty = build(0, [])
-    assert is_connected(empty) and recognition._cycle_blocks(empty)[0] <= 1
+            assert certify_graph(g) == certify_distinct(n, g.edge_count)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """2-3 structured graphs side by side, up to 3 isolated vertices,
+    and the vertex ids shuffled."""
+    edges, n = [], 0
+    for part in draw(st.lists(structured_graphs(), min_size=2, max_size=3)):
+        edges.extend((u + n, v + n) for u, v in part.edges)
+        n += part.vertex_count
+    n += draw(st.integers(0, 3))
+    perm = draw(st.permutations(range(n)))
+    return build(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjoint_unions())
+def test_bounds_hold_on_disconnected_graphs(g):
+    # wedging the components together keeps m and the cycle lengths and
+    # lowers n, so a disconnected graph lies strictly below both bounds
+    n = g.vertex_count
+    assert certify_graph(g).premises == ("simple graph",)
+    d = decide(g)
+    if isinstance(d, AllCyclesEqual):
+        assert certify_graph(g, d.r).verdict == "inconclusive"
+        assert g.edge_count < max_edges(n, d.r).bound
+        assert g.edge_count < 2 * n - 4  # n >= 6: each part has a cycle
 
 
 def test_certify_graph_without_r():
