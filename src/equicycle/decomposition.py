@@ -5,12 +5,15 @@ i.e. a block of the graph left after deleting all bridges and then all
 isolated vertices.  Disconnected inputs are handled per component and
 the results concatenated.
 
-Hopcroft-Tarjan keeps a vertex stack and an edge count, not an edge
-stack: a component closes as its vertices, the top (the vertex the DFS
-entered it from) last, and its edge count.  A block's degrees and
-edges are read from those and the graph's adjacency in time linear over
-all blocks: each vertex is below the top of exactly one block, and the
-top's neighbours in a block are read off the other vertices' lists.
+One pass finds them all: a depth-first search, then Schmidt's chain
+decomposition (IPL 113(7), 2013).  Each back edge, taken at its upper
+end with those ends in preorder, starts a chain that runs down the
+back edge and up the tree to the first vertex already on a chain.  A
+chain that closes at its own start opens a block; any other joins the
+block of the tree edge above its end; a tree edge on no chain is a
+bridge.  A block's chains, in order, are an ear decomposition of it: a
+cycle, then paths between vertices already on it.  No block's edge list
+is built on the way to a verdict, and each vertex is walked once.
 """
 
 from dataclasses import dataclass
@@ -48,125 +51,115 @@ class BlockDecomposition:
     component_count: int  # connected components, isolated vertices included
 
 
-def _biconnected_components(vertex_count, adjacency):
-    """Iterative Hopcroft-Tarjan.  Returns (each biconnected component
-    as (list of its vertices, top last, edge count) in closing order;
-    number of connected components)."""
-    disc = [0] * vertex_count  # 0 = unvisited, else 1-based time
-    low = [0] * vertex_count
-    comps = []
-    timer = 1
-    roots = 0  # one DFS per connected component
-    vstack = []
-    edges = 0  # seen and in no closed component
-    for root in range(vertex_count):
-        if disc[root]:
+def chain_decomposition(g):
+    """The one pass over g: (component count, parent, chain, block,
+    rows).  parent[v] is v's parent in the depth-first forest, a root
+    being its own; chain[v] is the chain that walked the tree edge above
+    v, or -1 for a root or a bridge's lower end; block[c] is chain c's
+    block.  rows lists each cycle block as (least vertex u, below, kid,
+    block id, chains), where below tells whether u lies below the
+    block's top and kid is the top's child in the block.  Sorting them
+    puts blocks that share u in the order Hopcroft-Tarjan closes them,
+    the order their kids finish: those with top u first, their kids in
+    u's sorted neighbour list, the order the search visits them, then
+    the one that holds u's parent, whose kid finishes after all of them.
+    chains is flat, four entries per chain: start, second vertex, end
+    (the start again for the first, a cycle) and length; the second
+    vertex's walk up the tree to the end gives the rest."""
+    adj = g.adjacency
+    n = g.vertex_count
+    parent = [-1] * n
+    order = []  # preorder
+    roots = 0
+    for root in range(n):
+        if parent[root] >= 0:
             continue
         roots += 1
-        disc[root] = low[root] = timer
-        timer += 1
-        # a frame's marks: vertex-stack height and edge count below its tree edge
-        frames = [(root, -1, iter(adjacency[root]), 0, 0)]
-        while frames:
-            v, parent, it, vmark, emark = frames[-1]
-            advanced = False
+        parent[root] = v = root
+        order.append(root)
+        it, its = iter(adj[root]), []
+        while True:
             for w in it:
-                if w == parent:
-                    continue
-                if disc[w] == 0:
-                    frames.append((w, v, iter(adjacency[w]), len(vstack), edges))
-                    vstack.append(w)
-                    edges += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    advanced = True
+                if parent[w] < 0:
+                    parent[w] = v
+                    order.append(w)
+                    its.append(it)
+                    v, it = w, iter(adj[w])
                     break
-                if disc[w] < disc[v]:
-                    edges += 1
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                u = frames[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    # the tree edge (u, v) and everything seen after it
-                    vertices = vstack[vmark:]
-                    vertices.append(u)
-                    comps.append((vertices, edges - emark))
-                    del vstack[vmark:]
-                    edges = emark
-    return comps, roots
-
-
-def top_neighbours(adj, vertices):
-    """The neighbours, ascending, of the top of the block on vertices,
-    a list with the top last.  The top's list in the graph's
-    adjacency adj runs into every block it tops, but every other vertex
-    has its edges in this block or in blocks closed earlier with it on
-    top, so the top's neighbours are read off the others' lists."""
-    u = vertices[-1]
-    top = [y for y in vertices[:-1] if u in adj[y]]
-    top.sort()
-    return top
-
-
-def cycle_block_degrees(g):
-    """Hopcroft-Tarjan over g with no edge list: the number of connected
-    components, and each cycle block as (vertices, top last; edge count
-    m; degrees) in closing order.  A block with m == len(vertices) is a
-    cycle, with degrees None; any other's degrees maps each vertex to
-    its block degree.  A vertex below the top has each edge in this
-    block or in a block closed earlier with it on top, and the top,
-    last in degrees too, has the rest of the 2m ends."""
-    adj = g.adjacency
-    comps, component_count = _biconnected_components(g.vertex_count, adj)
-    blocks = []
-    given = {}  # a top vertex's edges in the blocks closed so far
-    for vertices, m in comps:
-        u = vertices[-1]
-        if m == 1:  # a bridge
-            given[u] = given.get(u, 0) + 1
-            continue
-        degrees = None
-        top = 2  # in a cycle
-        if m > len(vertices):
-            degrees = {x: len(adj[x]) - given.get(x, 0) for x in vertices}
-            top = degrees[u] = 2 * m - (sum(degrees.values()) - degrees[u])
-        given[u] = given.get(u, 0) + top
-        blocks.append((vertices, m, degrees))
-    return component_count, blocks
+            else:
+                if not its:
+                    break
+                v, it = parent[v], its.pop()
+    chain = [-1] * n
+    started = bytearray(n)
+    block = []
+    blocks, least, kids = [], [], []
+    for v in order:
+        started[v] = 1
+        for w in adj[v]:
+            # a neighbour not yet started is a descendant: a back edge
+            # down from v unless it is v's own child
+            if not started[w] and parent[w] != v:
+                c = len(block)
+                y, lo, length = w, v, 1
+                while y != v and chain[y] < 0:
+                    chain[y] = c
+                    if y < lo:
+                        lo = y
+                    kid, y = y, parent[y]
+                    length += 1
+                if y == v:
+                    b = len(blocks)
+                    blocks.append([v, w, v, length])
+                    least.append(lo)
+                    kids.append(kid)
+                else:
+                    b = block[chain[y]]
+                    blocks[b] += (v, w, y, length)
+                    if lo < least[b]:
+                        least[b] = lo
+                block.append(b)
+    below = [chains[0] != lo for lo, chains in zip(least, blocks)]
+    rows = sorted(zip(least, below, kids, range(len(blocks)), blocks))
+    return roots, parent, chain, block, rows
 
 
 def decompose(g):
     """Full decomposition: bridges, cut vertices (those in two or more
     biconnected components, bridges included), and cycle blocks ordered
-    by least contained vertex."""
+    by least contained vertex, read off chain_decomposition's labels."""
     adj = g.adjacency
-    comps, component_count = _biconnected_components(g.vertex_count, adj)
+    component_count, parent, chain, block, rows = chain_decomposition(g)
+    label = [block[c] if c >= 0 else -1 for c in chain]  # block of the edge above
+    inner = [[] for _ in rows]  # each block's vertices below its top, ascending
+    pieces = [0] * g.vertex_count  # blocks and bridges each vertex tops
     bridges_ = []
-    blocks = []
-    seen, cuts = set(), set()
-    for vertices, m in comps:
-        cuts.update(seen.intersection(vertices))
-        seen.update(vertices)
-        if m == 1:
-            bridges_.append(tuple(sorted(vertices)))
+    for y, p in enumerate(parent):
+        if p == y:
             continue
-        u, inside = vertices[-1], set(vertices)
-        vertices.sort()
-        # an edge to the top u is read at its other end; the sort places it
-        edges = [(y, z) if y < z else (z, y) for y in vertices if y != u
-                 for z in adj[y] if (y < z or z == u) and z in inside]
+        b = label[y]
+        if b < 0:
+            bridges_.append((p, y) if p < y else (y, p))
+            pieces[p] += 1
+        else:
+            inner[b].append(y)
+            if label[p] != b:
+                pieces[p] += 1
+    blocks = []
+    for _, _, _, b, chains in rows:
+        top = chains[0]
+        vertices = inner[b]
+        # an edge to the top is read at its other end: the top's own list
+        # runs into every block it tops
+        edges = [(y, z) if y < z else (z, y) for y in vertices
+                 for z in adj[y] if z == top or (y < z and label[z] == b)]
         edges.sort()
+        vertices.append(top)
+        vertices.sort()
         blocks.append(Block(tuple(vertices), tuple(edges)))
-    blocks.sort(key=lambda b: b.vertices[0])
     return BlockDecomposition(
         bridges=tuple(sorted(bridges_)),
-        cut_vertices=tuple(sorted(cuts)),
+        cut_vertices=tuple(y for y, p in enumerate(parent) if pieces[y] + (p != y) > 1),
         cycle_blocks=tuple(blocks),
         component_count=component_count,
     )

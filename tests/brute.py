@@ -11,8 +11,11 @@ for the faster ones.
 import random
 from collections import defaultdict, deque
 
+from equicycle import recognition
 from equicycle import (
     BadVertexError,
+    Block,
+    BlockDecomposition,
     BookShape,
     BudgetExceededError,
     CycleReport,
@@ -67,6 +70,70 @@ def graph_cycle_lengths(g, cap=None):
     )
 
 
+def bound_search(n, visit=None, pruned=None):
+    """Max edge count per cycle length r over all n-vertex graphs,
+    connected or not, whose cycles share one length, by a DFS over edge
+    sets in sorted order.  Enumerating all edge sets is out of reach for
+    n = 8, but "has two cycle lengths" is monotone under edge addition,
+    so the DFS prunes as soon as a second length appears and still
+    visits every graph with at most one cycle length: a full
+    enumeration of that region, not a sample.  visit(edges, r), if
+    given, is called on each, r being its cycle length or 0 when it is
+    acyclic, and pruned(edges, e) on each extension by an edge e that
+    adds a second length; edges is the search's own list, valid during
+    the call."""
+    edge_pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ne = len(edge_pool)
+    adj = [0] * n
+    edges = []
+    best = {}
+
+    def lengths_with_edge(u, v, current):
+        """Cycle lengths closed by adding edge (u, v); False if they
+        break the single-length invariant."""
+        found = current
+        stack = [(u, 1 << u, 0)]
+        while stack:
+            x, used, d = stack.pop()
+            m = adj[x]
+            while m:
+                b = m & -m
+                w = b.bit_length() - 1
+                m ^= b
+                if w == v:
+                    cl = d + 2
+                    if cl >= 3:
+                        if found and cl != found:
+                            return False
+                        found = cl
+                elif not used >> w & 1:
+                    stack.append((w, used | 1 << w, d + 1))
+        return found
+
+    def grow(start, current):
+        if current and len(edges) > best.get(current, 0):
+            best[current] = len(edges)
+        if visit is not None:
+            visit(edges, current)
+        for i in range(start, ne):
+            u, v = edge_pool[i]
+            nxt = lengths_with_edge(u, v, current)
+            if nxt is False:
+                if pruned is not None:
+                    pruned(edges, edge_pool[i])
+                continue
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            edges.append(edge_pool[i])
+            grow(i + 1, nxt)
+            edges.pop()
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+
+    grow(0, 0)
+    return best
+
+
 def edge_on_some_cycle(g, e):
     """Membership test used to cross-check bridge detection."""
     u, v = e
@@ -92,7 +159,7 @@ def edge_on_some_cycle(g, e):
 def connected_components(g):
     """Partition vertices into components, each a sorted list, ordered
     by least contained vertex: a BFS, independent of the library's
-    Hopcroft-Tarjan component count."""
+    depth-first component count."""
     seen = [False] * g.vertex_count
     comps = []
     for start in range(g.vertex_count):
@@ -282,6 +349,107 @@ def reference_classify(block):
     if lens[0] < 2:
         return OtherShape("endpoints-adjacent-structure")
     return BookShape(lens[0], len(adj[a]) - 1)
+
+
+def _hopcroft_tarjan(vertex_count, adjacency):
+    """Iterative Hopcroft-Tarjan with low points.  Returns (each
+    biconnected component as (list of its vertices, top last, edge
+    count) in closing order; number of connected components)."""
+    disc = [0] * vertex_count  # 0 = unvisited, else 1-based time
+    low = [0] * vertex_count
+    comps = []
+    timer = 1
+    roots = 0  # one DFS per connected component
+    vstack = []
+    edges = 0  # seen and in no closed component
+    for root in range(vertex_count):
+        if disc[root]:
+            continue
+        roots += 1
+        disc[root] = low[root] = timer
+        timer += 1
+        # a frame's marks: vertex-stack height and edge count below its tree edge
+        frames = [(root, -1, iter(adjacency[root]), 0, 0)]
+        while frames:
+            v, parent, it, vmark, emark = frames[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if disc[w] == 0:
+                    frames.append((w, v, iter(adjacency[w]), len(vstack), edges))
+                    vstack.append(w)
+                    edges += 1
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    advanced = True
+                    break
+                if disc[w] < disc[v]:
+                    edges += 1
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            if advanced:
+                continue
+            frames.pop()
+            if frames:
+                u = frames[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    # the tree edge (u, v) and everything seen after it
+                    vertices = vstack[vmark:]
+                    vertices.append(u)
+                    comps.append((vertices, edges - emark))
+                    del vstack[vmark:]
+                    edges = emark
+    return comps, roots
+
+
+def reference_blocks(g):
+    """The library's earlier decompose, by Hopcroft-Tarjan with low
+    points, a vertex stack and an edge count: the same BlockDecomposition,
+    kept as the reference for the chain decomposition's blocks, bridges,
+    cut vertices and block order (blocks that share their least vertex
+    in the order Hopcroft-Tarjan closes them)."""
+    adj = g.adjacency
+    comps, component_count = _hopcroft_tarjan(g.vertex_count, adj)
+    bridges = []
+    blocks = []
+    seen, cuts = set(), set()
+    for vertices, m in comps:
+        cuts.update(seen.intersection(vertices))
+        seen.update(vertices)
+        if m == 1:
+            bridges.append(tuple(sorted(vertices)))
+            continue
+        inside = set(vertices)
+        edges = sorted((y, z) for y in inside for z in adj[y] if y < z and z in inside)
+        blocks.append(Block(tuple(sorted(vertices)), tuple(edges)))
+    blocks.sort(key=lambda b: b.vertices[0])
+    return BlockDecomposition(tuple(sorted(bridges)), tuple(sorted(cuts)), tuple(blocks),
+                              component_count)
+
+
+def ear_decomposition_edges(parent, chains):
+    """The sorted edges of a block's chains (a _cycle_blocks row's flat
+    records, walked along the depth-first parent list), after checking
+    that they are an ear decomposition: a cycle, then paths whose ends,
+    and only those, lie on earlier chains, each of its recorded
+    length."""
+    seen = set()
+    edges = []
+    for q in range(0, len(chains), 4):
+        path = recognition._chain(parent, *chains[q:q + 3])
+        assert len(path) - 1 == chains[q + 3]
+        inner = path[:-1] if q == 0 else path[1:-1]
+        assert len(set(inner)) == len(inner) and seen.isdisjoint(inner)
+        if q == 0:
+            assert path[0] == path[-1] and len(inner) >= 3
+        else:
+            assert path[0] != path[-1] and seen.issuperset((path[0], path[-1]))
+        seen.update(path)
+        edges += [(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])]
+    return tuple(sorted(edges))
 
 
 def reference_require_block(block):

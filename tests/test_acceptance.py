@@ -7,12 +7,12 @@ machinery is shared:
   comparing the structural decision against independent brute-force
   cycle enumeration, checking decomposition soundness, and recording
   the max edge count per singleton cycle length.
-* bound_search(8): exhaustive confirmation of the edge bounds at n = 8.
-  Enumerating all 2^28 edge sets is out of reach, but "has two distinct
-  cycle lengths" is monotone under edge addition, so a DFS over edge
-  sets in sorted order that prunes as soon as a second length appears
-  still visits every graph with at most one cycle length.  This is a
-  full enumeration of the feasible region, not a sample.
+* bound_search(8) (in brute.py): exhaustive confirmation of the edge
+  bounds at n = 8, by a pruned DFS that visits every 8-vertex graph
+  with at most one cycle length.  The same search drives
+  acceptance_n8.py, which checks decide on every graph it visits and
+  on every extension it prunes; at about 5 minutes that runs as a CI
+  step of its own, outside tier-1.
 """
 
 import random
@@ -38,7 +38,7 @@ from equicycle import (
 )
 from equicycle.graph import Graph
 
-from brute import brute_cycle_lengths
+from brute import bound_search, brute_cycle_lengths
 
 
 def _report(num, desc, ok, detail=""):
@@ -119,55 +119,6 @@ def exhaustive_sweep():
                 mismatches.append((n, mask))
         maxima[n] = best
     return total, mismatches, violations, maxima
-
-
-def bound_search(n):
-    """Max edge count per cycle length r over all n-vertex graphs,
-    connected or not, whose cycles share one length, by pruned
-    exhaustive DFS."""
-    edge_pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ne = len(edge_pool)
-    adj = [0] * n
-    best = {}
-
-    def lengths_with_edge(u, v, current):
-        """Cycle lengths closed by adding edge (u, v); False if they
-        break the single-length invariant."""
-        found = current
-        stack = [(u, 1 << u, 0)]
-        while stack:
-            x, used, d = stack.pop()
-            m = adj[x]
-            while m:
-                b = m & -m
-                w = b.bit_length() - 1
-                m ^= b
-                if w == v:
-                    cl = d + 2
-                    if cl >= 3:
-                        if found and cl != found:
-                            return False
-                        found = cl
-                elif not used >> w & 1:
-                    stack.append((w, used | 1 << w, d + 1))
-        return found
-
-    def grow(start, edge_count, current):
-        if current and edge_count > best.get(current, 0):
-            best[current] = edge_count
-        for i in range(start, ne):
-            u, v = edge_pool[i]
-            nxt = lengths_with_edge(u, v, current)
-            if nxt is False:
-                continue
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            grow(i + 1, edge_count + 1, nxt)
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-
-    grow(0, 0, 0)
-    return best
 
 
 @lru_cache(maxsize=None)

@@ -17,11 +17,18 @@ from equicycle import (
     wedge,
 )
 
+from equicycle import recognition
+from equicycle.graph import Graph
+
 from brute import (
+    based_at,
     blockwise_spectrum_check,
     connected_components,
+    ear_decomposition_edges,
     edge_on_some_cycle,
     random_connected_edges,
+    reference_blocks,
+    reference_classify,
 )
 from structured import structured_graphs
 
@@ -162,3 +169,42 @@ def test_disconnected_input_decomposes_per_component():
     assert len(d.cycle_blocks) == 2
     assert d.cycle_blocks[0].vertices == (0, 1, 2)
     assert d.cycle_blocks[1].vertices == (4, 5, 6, 7)
+
+
+def assert_matches_reference(g):
+    """decompose(g) is reference_blocks(g), Hopcroft-Tarjan's, blocks in
+    the same order; decide's rows have those blocks' least vertices and
+    reference_classify's shapes, reasons and two-hub chains; and each
+    row's chains are an ear decomposition of its block's edges.  True
+    when two blocks share their least vertex."""
+    expected = reference_blocks(g)
+    assert decompose(g) == expected
+    count, rows, parent = recognition._cycle_blocks(g)
+    assert count == expected.component_count and len(rows) == len(expected.cycle_blocks)
+    for (least, chains, shape), block in zip(rows, expected.cycle_blocks):
+        reference = reference_classify(block)
+        assert least == block.vertices[0]
+        assert repr(shape) == repr(reference)
+        assert getattr(shape, "chains", None) == getattr(reference, "chains", None)
+        assert ear_decomposition_edges(parent, chains) == block.edges
+    leasts = [least for least, _, _ in rows]
+    return len(set(leasts)) < len(leasts)
+
+
+def test_chain_decomposition_matches_hopcroft_tarjan_on_small_graphs():
+    # every labelled graph on <= 6 vertices; relabelling maps them onto
+    # themselves, so each vertex of each graph is once the search's root
+    ties = 0
+    for n in range(1, 7):
+        pool = list(combinations(range(n), 2))
+        for mask in range(1 << len(pool)):
+            ties += assert_matches_reference(
+                Graph(n, [e for i, e in enumerate(pool) if mask >> i & 1]))
+    assert ties == 211  # graphs where blocks share their least vertex
+
+
+@settings(max_examples=200, deadline=None)
+@given(structured_graphs())
+def test_chain_decomposition_matches_hopcroft_tarjan_from_every_root(g):
+    for root in range(g.vertex_count):
+        assert_matches_reference(based_at(g, root))

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +39,7 @@ from equicycle.decomposition import Block
 
 from brute import (
     based_at,
+    ear_decomposition_edges,
     graph_cycle_lengths,
     is_connected,
     is_simple_cycle,
@@ -98,7 +98,7 @@ def test_classify_unequal_paths_other():
 @settings(max_examples=400, deadline=None)
 @given(structured_graphs())
 def test_classify_matches_reference(g):
-    # the classifier on Hopcroft-Tarjan's blocks of g, and through
+    # the classifier on the chain decomposition's blocks of g, and through
     # classify_block on a copy of each of decompose's blocks
     d = decompose(g)
     rows = recognition._cycle_blocks(g)[1]
@@ -140,14 +140,11 @@ def test_block_degrees_where_blocks_share_vertices(g):
         expected = [reference_classify(b) for b in d.cycle_blocks]
         res = decide(h, witnesses=True)
         assert repr(res.shapes) == repr(tuple(expected))
-        rows = recognition._cycle_blocks(h)[1]
+        _, rows, parent = recognition._cycle_blocks(h)
         assert len(rows) == len(d.cycle_blocks)
-        for block, (least, members, shape) in zip(d.cycle_blocks, rows):
+        for block, (least, chains, _) in zip(d.cycle_blocks, rows):
             assert least == block.vertices[0]
-            if isinstance(shape, CycleShape):
-                assert sorted(members) == list(block.vertices)
-            else:
-                assert dict(members) == Counter(chain.from_iterable(block.edges))
+            assert ear_decomposition_edges(parent, chains) == block.edges
         assert_exact_pair(h, (res.witness_a, res.witness_b), res.witness_status)
 
 
@@ -158,11 +155,10 @@ def test_windmill(case):
     # whole neighbour list once per block would take minutes here.
     # triangles: 2 * 10**4 triangles and a book B(2, 4, 2) share vertex
     # h.  With the DFS rooted at h, h tops every block; rooted at the
-    # book's other hub, the book closes last, below its top, after every
-    # triangle: h's block degree there is its graph degree less 2 per
-    # triangle.  books: a triangle and 2 * 10**4 books B(2, 4, 2) share
-    # vertex 0, a hub of every book or an inner vertex of one of its
-    # pages, so the chain walk of every book reads it.
+    # book's other hub, the book holds h's tree edge and closes last,
+    # after every triangle.  books: a triangle and 2 * 10**4 books
+    # B(2, 4, 2) share vertex 0, a hub of every book or an inner vertex
+    # of one of its pages, so the hub-to-hub paths of every book pass it.
     t = 2 * 10**4
     if case.startswith("triangles"):
         h, b = (0, 1) if case.endswith("hub") else (1, 0)
@@ -325,12 +321,11 @@ def test_odd_acceptance_has_only_cycle_blocks():
         assert all(isinstance(sh, CycleShape) for sh in d.shapes)
 
 
-def test_decide_disconnected_notes_with_given_decomposition():
-    # a given decomposition is ignored: the pass finds the isolated vertex
+def test_decide_notes_an_isolated_vertex():
     g = build(4, [(0, 1), (1, 2), (2, 0)])  # vertex 3 is isolated
-    for d in (decide(g), decide(g, decomposition=decompose(g))):
-        assert isinstance(d, AllCyclesEqual) and d.r == 3
-        assert d.notes == ("input is disconnected; decided over all components",)
+    d = decide(g)
+    assert isinstance(d, AllCyclesEqual) and d.r == 3
+    assert d.notes == ("input is disconnected; decided over all components",)
 
 
 def test_decide_disconnected_notes():
@@ -425,7 +420,7 @@ def test_bad_budget_raises_on_witness_path():
 
 def test_over_budget_block_is_never_copied(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the ear search copied the block")
+        raise AssertionError("the witness path copied the block")
 
     monkeypatch.setattr(Block, "to_graph", refuse)
     monkeypatch.setattr(Block, "__init__", refuse)
@@ -441,7 +436,7 @@ def test_over_budget_block_is_never_copied(monkeypatch):
 def test_large_book_with_one_chord_is_exact():
     b = book(BookParams(2, 4, 10**4))
     # a chord between the inner vertices of the last two pages, which the
-    # ear search reaches only after it has grown the book through the rest
+    # chain replay reaches only after the book has taken every other page
     u, v = [x for x in range(b.vertex_count) if len(b.adjacency[x]) == 2][-2:]
     g = build(b.vertex_count, list(b.edges) + [(u, v)])
     d = decide(g, witnesses=True)
@@ -513,11 +508,13 @@ C3_C4 = wedge(WedgeSpec((cycle(3), cycle(4))))
     (C3_C4, (OtherShape("unequal-path-lengths"), CycleShape(4))),
     # an accepted graph whose second triangle claims r = 4
     (wedge(WedgeSpec((cycle(3), cycle(3)))), (CycleShape(3), CycleShape(4))),
+    # an isolated vertex, which the pass finds without a given decomposition
+    (build(4, [(0, 1), (1, 2), (2, 0)]), (CycleShape(4),)),
     # a K4 block called a cycle or a book
     (K4_C3, (CycleShape(4), CycleShape(3))),
     (K4_C3, (BookShape(2, 1), CycleShape(3))),
 ], ids=["degree-profile-C4", "degree-profile-B(2,4,2)", "degree-profile-B(3,6,10000)",
-        "misstated-r", "other-shape-of-cycle-block", "cross-block-stated-r",
+        "misstated-r", "other-shape-of-cycle-block", "cross-block-stated-r", "isolated-vertex",
         "K4-called-cycle", "K4-called-book"])
 def test_shapes_other_than_the_blocks_own_raise(g, shapes):
     # decide's decomposition and extract_witnesses's shapes and
