@@ -13,7 +13,6 @@ from .bounds import (
 from .decomposition import (
     Block,
     BlockDecomposition,
-    bridges,
     decompose,
 )
 from .errors import (
@@ -23,17 +22,13 @@ from .errors import (
     BudgetExceededError,
     DuplicateEdgeError,
     GraphError,
-    NotABlockError,
     NotRejectedError,
     OverBudgetError,
     ParseError,
     SelfLoopError,
     TooSmallError,
-    UnknownEdgeError,
 )
 from .generators import (
-    BookParams,
-    WedgeSpec,
     book,
     complete,
     complete_bipartite,
@@ -44,12 +39,10 @@ from .generators import (
 from .graph import (
     Graph,
     build,
-    degree,
     parse_edge_list,
     serialize_edge_list,
-    subdivide,
 )
-from .oracle import CycleReport, SearchBudget, cycle_spectrum, girth
+from .oracle import CycleReport, SearchBudget, cycle_spectrum
 from .recognition import (
     Acyclic,
     AllCyclesEqual,
@@ -57,7 +50,6 @@ from .recognition import (
     CycleShape,
     DistinctLengths,
     OtherShape,
-    classify_block,
     decide,
     extract_witnesses,
 )

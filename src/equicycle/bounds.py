@@ -16,7 +16,7 @@ concrete graph.
 from dataclasses import dataclass
 
 from .errors import BadRangeError
-from .generators import BookParams, WedgeSpec, book, cycle, path, wedge
+from .generators import book, cycle, path, wedge
 from .recognition import Acyclic, AllCyclesEqual, decide
 
 RULE_WITH_R = "single-cycle-length edge bound for known r"
@@ -83,10 +83,8 @@ def extremal(n, r):
     """
     rep = max_edges(n, r)
     if r % 2 == 0:
-        summands = (book(BookParams(r // 2, r, rep.p)), path(rep.c))
-    else:
-        summands = tuple([cycle(r)] * rep.p) + (path(rep.c),)
-    return wedge(WedgeSpec(summands))
+        return wedge(book(r // 2, r, rep.p), path(rep.c))
+    return wedge(*[cycle(r)] * rep.p, path(rep.c))
 
 
 def certify_distinct(n, m, r=None):

@@ -17,7 +17,7 @@ from dataclasses import asdict
 from . import bounds as bounds_mod
 from .decomposition import decompose
 from .errors import GraphError, ParseError
-from .generators import BookParams, WedgeSpec, book, complete, complete_bipartite, cycle, path, wedge
+from .generators import book, complete, complete_bipartite, cycle, path, wedge
 from .graph import parse_edge_list, serialize_edge_list
 from .oracle import SearchBudget, cycle_spectrum
 from .recognition import Acyclic, AllCyclesEqual, BookShape, CycleShape, DistinctLengths, decide
@@ -33,7 +33,7 @@ _GEN = {
     "path": (("m",), path),
     "complete": (("m",), complete),
     "bipartite": (("a", "b"), complete_bipartite),
-    "book": (("n", "l", "p"), lambda n, l, p: book(BookParams(n, l, p))),
+    "book": (("n", "l", "p"), book),
     "extremal": (("n", "r"), bounds_mod.extremal),
 }
 
@@ -182,7 +182,7 @@ def _certify_lines(obj):
 
 def _cmd_gen(args):
     if args.family == "wedge":
-        g = wedge(WedgeSpec(tuple(_load_graph(f) for f in args.files)))
+        g = wedge(*map(_load_graph, args.files))
     else:
         names, make = _GEN[args.family]
         g = make(*(getattr(args, name) for name in names))

@@ -18,9 +18,6 @@ is built on the way to a verdict, and each vertex is walked once.
 
 from dataclasses import dataclass
 
-from .errors import NotABlockError
-from .graph import build
-
 
 @dataclass(frozen=True)
 class Block:
@@ -29,18 +26,6 @@ class Block:
 
     vertices: tuple
     edges: tuple
-
-    def to_graph(self):
-        """Dense relabeling of the block, made by build; returns (graph,
-        dense->parent id mapping).  An edge end outside vertices raises
-        NotABlockError, a loop or repeated edge build's error (dense ids)."""
-        mapping = list(self.vertices)
-        index = {v: i for i, v in enumerate(mapping)}
-        try:
-            pairs = [(index[u], index[v]) for u, v in self.edges]
-        except KeyError as exc:
-            raise NotABlockError(f"edge end {exc.args[0]} is not a vertex of the block") from None
-        return build(len(mapping), pairs), mapping
 
 
 @dataclass(frozen=True)
@@ -133,13 +118,13 @@ def decompose(g):
     label = [block[c] if c >= 0 else -1 for c in chain]  # block of the edge above
     inner = [[] for _ in rows]  # each block's vertices below its top, ascending
     pieces = [0] * g.vertex_count  # blocks and bridges each vertex tops
-    bridges_ = []
+    bridges = []
     for y, p in enumerate(parent):
         if p == y:
             continue
         b = label[y]
         if b < 0:
-            bridges_.append((p, y) if p < y else (y, p))
+            bridges.append((p, y) if p < y else (y, p))
             pieces[p] += 1
         else:
             inner[b].append(y)
@@ -158,13 +143,9 @@ def decompose(g):
         vertices.sort()
         blocks.append(Block(tuple(vertices), tuple(edges)))
     return BlockDecomposition(
-        bridges=tuple(sorted(bridges_)),
+        bridges=tuple(sorted(bridges)),
         cut_vertices=tuple(y for y, p in enumerate(parent) if pieces[y] + (p != y) > 1),
         cycle_blocks=tuple(blocks),
         component_count=component_count,
     )
 
-
-def bridges(g):
-    """Edges contained in no cycle."""
-    return decompose(g).bridges

@@ -23,12 +23,6 @@ class BadVertexError(GraphError):
         super().__init__(f"vertex {v} out of range for {vertex_count} vertices")
 
 
-class UnknownEdgeError(GraphError):
-    def __init__(self, u, v):
-        self.edge = (u, v)
-        super().__init__(f"edge ({u}, {v}) not in graph")
-
-
 class ParseError(GraphError):
     def __init__(self, line, reason):
         self.line = line
@@ -57,10 +51,6 @@ class BudgetExceededError(GraphError):
     def __init__(self, states):
         self.states = states
         super().__init__(f"visited-state guard tripped after {states} states")
-
-
-class NotABlockError(GraphError):
-    pass
 
 
 class NotRejectedError(GraphError):

@@ -1,49 +1,8 @@
 """Named graph families: cycles, paths, complete graphs, generalized
 books, and wedge sums."""
 
-from dataclasses import dataclass
-
 from .errors import BadParamsError, TooSmallError
 from .graph import Graph, build
-
-
-@dataclass(frozen=True)
-class BookParams:
-    """Parameters of the generalized book B(n, L, p): p cycles of
-    length L glued over a common path of n edges (the spine).
-
-    p = 1 is permitted only when L = 2n, in which case the result is
-    the plain cycle C_L.
-    """
-
-    n: int
-    L: int
-    p: int
-
-    def validate(self):
-        if self.L < 3:
-            raise BadParamsError(f"cycle length {self.L} < 3")
-        if self.n < 1:
-            raise BadParamsError(f"spine length {self.n} < 1")
-        if self.p < 1:
-            raise BadParamsError(f"page count {self.p} < 1")
-        if self.p == 1:
-            if self.L != 2 * self.n:
-                raise BadParamsError(
-                    f"p = 1 requires L = 2n, got L={self.L}, n={self.n}"
-                )
-        elif self.n > self.L - 2:
-            raise BadParamsError(
-                f"spine length {self.n} > L-2 = {self.L - 2} breaks simplicity"
-            )
-
-
-@dataclass(frozen=True)
-class WedgeSpec:
-    """Summands of a wedge sum; the vertex 0 of every summand is
-    identified into a single vertex."""
-
-    summands: tuple
 
 
 def cycle(m):
@@ -75,14 +34,25 @@ def complete_bipartite(a, b):
     return build(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def book(params):
-    """The generalized book B(n, L, p).
+def book(n, L, p):
+    """The generalized book B(n, L, p): p cycles of length L glued over
+    a common path of n edges (the spine).  p = 1 is permitted only when
+    L = 2n, in which case the result is the plain cycle C_L.
 
     Vertex numbering is deterministic: spine vertices 0..n first, then
     page vertices in page order, so output is reproducible.
     """
-    params.validate()
-    n, L, p = params.n, params.L, params.p
+    if L < 3:
+        raise BadParamsError(f"cycle length {L} < 3")
+    if n < 1:
+        raise BadParamsError(f"spine length {n} < 1")
+    if p < 1:
+        raise BadParamsError(f"page count {p} < 1")
+    if p == 1:
+        if L != 2 * n:
+            raise BadParamsError(f"p = 1 requires L = 2n, got L={L}, n={n}")
+    elif n > L - 2:
+        raise BadParamsError(f"spine length {n} > L-2 = {L - 2} breaks simplicity")
     edges = [(i, i + 1) for i in range(n)]
     nxt = n + 1
     for _ in range(p):
@@ -94,11 +64,10 @@ def book(params):
     return build(nxt, edges)
 
 
-def wedge(spec):
-    """Wedge sum: disjoint union with every summand's vertex 0
-    identified into one vertex, the result's vertex 0.  With a single
-    summand this is the identity."""
-    summands = spec.summands
+def wedge(*summands):
+    """Wedge sum of the graphs summands: their disjoint union with every
+    summand's vertex 0 identified into one vertex, the result's vertex
+    0.  With a single summand this is the identity."""
     if not summands:
         raise BadParamsError("wedge needs at least one summand")
     for g in summands:

@@ -23,7 +23,6 @@ from .errors import (
     ParseError,
     SelfLoopError,
     TooSmallError,
-    UnknownEdgeError,
 )
 
 _CHUNK = 1 << 16  # characters per chunk of the reader, rounded up to whole lines
@@ -107,7 +106,10 @@ def build(vertex_count, edge_pairs, labels=None):
     The pairs must make a simple graph: ends in range(vertex_count), no
     loop, no edge twice in either orientation.  The first bad pair raises
     BadVertexError, SelfLoopError or DuplicateEdgeError; nothing is repaired.
+    A negative vertex_count raises TooSmallError.
     """
+    if vertex_count < 0:
+        raise TooSmallError(f"negative vertex count {vertex_count}")
     pairs = list(edge_pairs)  # walked again when the rule fails
     try:
         g = Graph(vertex_count, pairs, labels)
@@ -118,34 +120,6 @@ def build(vertex_count, edge_pairs, labels=None):
             or pairs and min(filter(None, g.adjacency))[0] < 0):
         raise _first_fault(vertex_count, pairs)[1]
     return g
-
-
-def degree(g, v):
-    if not (0 <= v < g.vertex_count):
-        raise BadVertexError(v, g.vertex_count)
-    return len(g.adjacency[v])
-
-
-def subdivide(g, e, t):
-    """Replace edge e by a path of t+1 edges through t fresh vertices.
-
-    t = 0 returns g unchanged; t < 0 raises TooSmallError.  Fresh
-    vertices get ids n..n+t-1.
-    """
-    if t < 0:
-        raise TooSmallError(f"negative subdivision count {t}")
-    u, v = e
-    key = (u, v) if u < v else (v, u)
-    if key not in set(g.edges):
-        raise UnknownEdgeError(u, v)
-    if t == 0:
-        return g
-    n = g.vertex_count
-    chain = [u] + list(range(n, n + t)) + [v]
-    edges = [p for p in g.edges if p != key]
-    for a, b in zip(chain, chain[1:]):
-        edges.append((a, b) if a < b else (b, a))
-    return Graph(n + t, edges)
 
 
 def parse_edge_list(text):

@@ -1,17 +1,15 @@
 """Ground-truth cycle analysis by exhaustive search.
 
-girth() is polynomial (per-root BFS) and exempt from the budget;
 cycle_spectrum() enumerates all simple cycles and is guarded by a
 SearchBudget.  It backs the `oracle` verb and is the independent
 verifier for the structural decision procedure; neither the decision
 nor its witness cycles use this module.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 
-from .errors import BudgetExceededError, OverBudgetError
+from .errors import BadParamsError, BudgetExceededError, OverBudgetError
 
 
 @dataclass(frozen=True)
@@ -21,7 +19,7 @@ class SearchBudget:
 
     def validate(self):
         if self.max_vertices <= 0 or self.max_visited_states <= 0:
-            raise ValueError("budget fields must be positive")
+            raise BadParamsError("budget fields must be positive")
 
 
 @dataclass(frozen=True)
@@ -34,37 +32,6 @@ class CycleReport:
     circumference: int | None
     lengths: tuple
     witnesses: dict = field(default_factory=dict)
-
-
-def girth(g):
-    """Exact girth via per-root BFS, or None if g is a forest.
-
-    For each root, any non-tree edge (x, y) met during BFS closes a
-    walk of length dist[x]+dist[y]+1 through the root; every such walk
-    contains a cycle no longer than it, and a root on a shortest cycle
-    realizes its length exactly, so the minimum over roots is the girth.
-    """
-    best = None
-    adj = g.adjacency
-    for root in range(g.vertex_count):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            dx = dist[x]
-            if best is not None and 2 * dx >= best:
-                break
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dx + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif parent[x] != y:
-                    cand = dx + dist[y] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
 
 
 def _cycles(adj, root, tick, max_states):

@@ -11,10 +11,9 @@ is one chain.  In any other block the hubs are the ends of every chain
 but the first; with two hubs, the first cycle split at them and the
 later chains are the hub-to-hub paths, whose lengths settle the shape.
 This pass is the only way any caller gets block shapes: decide,
-extract_witnesses, classify_block (on a copy of its block) and
-bounds.certify_graph all read them from it, so every block carries the
-shape this one classifier gave it, which decides where its witnesses
-come from.
+extract_witnesses and bounds.certify_graph all read them from it, so
+every block carries the shape this one classifier gave it, which
+decides where its witnesses come from.
 
 Every rejection is given two witness cycles of distinct lengths, in
 linear time and with no search budget.  They come from the first
@@ -29,7 +28,7 @@ from itertools import chain, islice
 from operator import itemgetter
 
 from .decomposition import chain_decomposition
-from .errors import NotABlockError, NotRejectedError
+from .errors import NotRejectedError
 
 
 @dataclass(frozen=True)
@@ -145,28 +144,6 @@ def _classify(parent, chains):
     if k < 2:
         return OtherShape("endpoints-adjacent-structure")
     return BookShape(k, len(paths) - 1)
-
-
-def classify_block(block):
-    """Classify one cycle block as CycleShape, BookShape or OtherShape.
-
-    The block is copied to a graph of its own and classified there by
-    the pass that decide makes; an OtherShape's chains are mapped back
-    to the block's vertex ids.  Raises NotABlockError when the argument
-    is not one 2-connected block: one component whose one cycle block
-    holds every vertex, with every edge end among them; a loop or
-    repeated edge raises build's error (see Block.to_graph).
-    """
-    h, mapping = block.to_graph()
-    component_count, rows, _ = _cycle_blocks(h)
-    # the block's vertices: its top, and each chain's length - 1 inner ones
-    if (component_count != 1 or len(rows) != 1
-            or 1 + sum(rows[0][1][3::4]) - len(rows[0][1]) // 4 != h.vertex_count):
-        raise NotABlockError("not a 2-connected block of at least 3 vertices")
-    shape = rows[0][2]
-    if isinstance(shape, OtherShape) and shape.chains:
-        return OtherShape(shape.reason, [[mapping[v] for v in c] for c in shape.chains])
-    return shape
 
 
 def _cycle_blocks(g):

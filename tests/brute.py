@@ -22,12 +22,12 @@ from equicycle import (
     CycleShape,
     DuplicateEdgeError,
     Graph,
-    NotABlockError,
     OtherShape,
     OverBudgetError,
     ParseError,
     SearchBudget,
     SelfLoopError,
+    build,
     cycle_spectrum,
     decompose,
 )
@@ -203,6 +203,22 @@ def based_at(g, b):
     return Graph(g.vertex_count, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
 
 
+def subdivide(g, e, t):
+    """g with its edge e, as (u, v) with u < v, replaced by a path of
+    t + 1 edges through t fresh vertices n..n+t-1, made by build."""
+    u, v = e
+    n = g.vertex_count
+    chain = [u, *range(n, n + t), v]
+    return build(n + t, [p for p in g.edges if p != e] + list(zip(chain, chain[1:])))
+
+
+def block_graph(block):
+    """A Block as a graph of its own, made by build: its vertices
+    relabelled 0..k-1 in order."""
+    index = {v: i for i, v in enumerate(block.vertices)}
+    return build(len(index), [(index[u], index[v]) for u, v in block.edges])
+
+
 def random_connected_edges(rng, n, extra):
     """Random spanning tree plus `extra` additional edges."""
     edges = set()
@@ -229,8 +245,7 @@ def blockwise_spectrum_check(g, budget=None):
     whole = set(cycle_spectrum(g, budget).lengths)
     union = set()
     for block in decompose(g).cycle_blocks:
-        sub, _ = block.to_graph()
-        union.update(cycle_spectrum(sub, budget).lengths)
+        union.update(cycle_spectrum(block_graph(block), budget).lengths)
     return whole == union
 
 
@@ -450,34 +465,6 @@ def ear_decomposition_edges(parent, chains):
         seen.update(path)
         edges += [(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])]
     return tuple(sorted(edges))
-
-
-def reference_require_block(block):
-    """2-connectivity check by vertex deletion: raises NotABlockError
-    unless the block has at least 3 vertices, each of degree >= 2, and
-    stays connected after deleting any one vertex.  Quadratic; kept as
-    the reference for classify_block's check."""
-    adj = block_adjacency(block)
-    if len(block.vertices) < 3:
-        raise NotABlockError("cycle blocks have at least 3 vertices")
-    if any(len(adj[v]) < 2 for v in block.vertices):
-        raise NotABlockError("vertex of degree < 2 in block")
-    verts = block.vertices
-    for skip in (None, *verts):
-        remaining = [v for v in verts if v != skip]
-        seen = {remaining[0]}
-        stack = [remaining[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y != skip and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(remaining):
-            raise NotABlockError(
-                "block is disconnected" if skip is None
-                else f"block has cut vertex {skip}"
-            )
 
 
 def reference_build(vertex_count, edge_pairs, labels=None):

@@ -22,7 +22,6 @@ from itertools import combinations
 from equicycle import (
     Acyclic,
     AllCyclesEqual,
-    BookParams,
     DistinctLengths,
     book,
     certify_distinct,
@@ -34,11 +33,10 @@ from equicycle import (
     extremal,
     max_edges,
     max_edges_any_r,
-    subdivide,
 )
 from equicycle.graph import Graph
 
-from brute import bound_search, brute_cycle_lengths
+from brute import block_graph, bound_search, brute_cycle_lengths, subdivide
 
 
 def _report(num, desc, ok, detail=""):
@@ -189,8 +187,7 @@ def test_criterion_4_sharpness():
             for block in decompose(g).cycle_blocks:
                 if len(block.vertices) > 14:
                     continue
-                sub, _ = block.to_graph()
-                if cycle_spectrum(sub).lengths != (r,):
+                if cycle_spectrum(block_graph(block)).lengths != (r,):
                     failures.append((n, r, "spectrum"))
     ok = not failures
     _report(4, "extremal graphs attain every bound, 3 <= r <= 10, n <= 30",
@@ -225,7 +222,7 @@ def test_criterion_6_book_counts():
     failures = []
     for k in range(2, 7):
         for p in range(1, 7):
-            b = book(BookParams(k, 2 * k, p))
+            b = book(k, 2 * k, p)
             if b.vertex_count != (k - 1) * (p + 1) + 2 or b.edge_count != k * (p + 1):
                 failures.append((k, p))
     ok = not failures

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from equicycle import (
     AllCyclesEqual,
     BadRangeError,
-    BookParams,
-    WedgeSpec,
     book,
     build,
     certify_distinct,
@@ -64,9 +62,9 @@ def test_extremal_examples():
     assert g.vertex_count == 16 and g.edge_count == 21
     g = extremal(16, 3)
     assert g.vertex_count == 16 and g.edge_count == 22
-    assert extremal(7, 4) == book(BookParams(2, 4, 4))
+    assert extremal(7, 4) == book(2, 4, 4)
     # n = r degenerates to the plain cycle (book with a single page)
-    assert extremal(6, 6) == book(BookParams(3, 6, 1))
+    assert extremal(6, 6) == book(3, 6, 1)
     assert graph_cycle_lengths(extremal(6, 6)) == {6}
 
 
@@ -106,16 +104,12 @@ def test_two_book_wedge_inequality():
         half = r // 2
         for a in range(1, 6):
             for b in range(1, 6):
-                w = wedge(
-                    WedgeSpec(
-                        (book(BookParams(half, r, a)), book(BookParams(half, r, b)))
-                    )
-                )
+                w = wedge(book(half, r, a), book(half, r, b))
                 n = w.vertex_count
                 p = ((half - 1) * (a + b + 1) + 1) // (half - 1)
                 c = n - 2 - (half - 1) * (p + 1)
                 assert c >= 0
-                dominant = wedge(WedgeSpec((book(BookParams(half, r, p)), path(c))))
+                dominant = wedge(book(half, r, p), path(c))
                 assert dominant.vertex_count == n
                 assert w.edge_count <= dominant.edge_count
 
@@ -127,10 +121,8 @@ def test_smaller_book_with_longer_tail_inequality():
             for p_small in range(1, p + 1):
                 for c in range(0, 4):
                     c_big = (half - 1) * (p - p_small) + c
-                    big = wedge(WedgeSpec((book(BookParams(half, r, p)), path(c))))
-                    small = wedge(
-                        WedgeSpec((book(BookParams(half, r, p_small)), path(c_big)))
-                    )
+                    big = wedge(book(half, r, p), path(c))
+                    small = wedge(book(half, r, p_small), path(c_big))
                     assert big.vertex_count == small.vertex_count
                     assert small.edge_count <= big.edge_count
 
@@ -175,7 +167,7 @@ def test_certify_graph_reads_r_cycle_premise_from_decide():
         certify_graph(path(4), 3)
     # a rejected graph is not searched for the r-cycle: it already has two
     # cycle lengths, so the certificate's conclusion holds without one
-    h = wedge(WedgeSpec((cycle(3), cycle(4))))
+    h = wedge(cycle(3), cycle(4))
     assert 5 not in graph_cycle_lengths(h)
     assert certify_graph(h, 5).verdict == "must_contain_distinct_lengths"
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicycle import complete, parse_edge_list, serialize_edge_list, wedge, WedgeSpec, cycle
+from equicycle import complete, parse_edge_list, serialize_edge_list, wedge, cycle
 from equicycle import cli
 from equicycle.cli import main
 
@@ -30,7 +30,7 @@ def write_graph(tmp_path, name, g):
 
 @pytest.fixture
 def bowtie_file(tmp_path):
-    return write_graph(tmp_path, "bowtie.edges", wedge(WedgeSpec((cycle(3), cycle(3)))))
+    return write_graph(tmp_path, "bowtie.edges", wedge(cycle(3), cycle(3)))
 
 
 def test_check_json_bowtie(bowtie_file, capsys):
@@ -43,7 +43,7 @@ def test_check_json_bowtie(bowtie_file, capsys):
 
 
 def test_check_text_distinct_with_witness(tmp_path, capsys):
-    f = write_graph(tmp_path, "g.edges", wedge(WedgeSpec((cycle(3), cycle(4)))))
+    f = write_graph(tmp_path, "g.edges", wedge(cycle(3), cycle(4)))
     assert main(["check", f, "--witness"]) == 0
     out = capsys.readouterr().out
     assert "two distinct cycle lengths exist" in out
@@ -53,13 +53,13 @@ def test_check_text_distinct_with_witness(tmp_path, capsys):
 def test_check_expect_exit_codes(bowtie_file, tmp_path):
     assert main(["check", bowtie_file, "--expect", "equal"]) == 0
     assert main(["check", bowtie_file, "--expect", "distinct"]) == 1
-    f = write_graph(tmp_path, "g.edges", wedge(WedgeSpec((cycle(3), cycle(4)))))
+    f = write_graph(tmp_path, "g.edges", wedge(cycle(3), cycle(4)))
     assert main(["check", f, "--expect", "equal"]) == 1
     assert main(["check", f, "--expect", "distinct"]) == 0
 
 
 def test_check_witness_json(tmp_path, capsys):
-    f = write_graph(tmp_path, "g.edges", wedge(WedgeSpec((cycle(3), cycle(4)))))
+    f = write_graph(tmp_path, "g.edges", wedge(cycle(3), cycle(4)))
     assert main(["check", f, "--witness", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["status"] == "distinct_lengths"

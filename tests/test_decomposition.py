@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from equicycle import (
-    BookParams,
-    WedgeSpec,
     book,
-    bridges,
     build,
     cycle,
     cycle_spectrum,
@@ -22,6 +19,7 @@ from equicycle.graph import Graph
 
 from brute import (
     based_at,
+    block_graph,
     blockwise_spectrum_check,
     connected_components,
     ear_decomposition_edges,
@@ -47,17 +45,18 @@ def paper_display_graph():
 
 
 def test_bridges_tree():
-    assert len(bridges(path(4))) == 4
+    assert len(decompose(path(4)).bridges) == 4
 
 
 def test_bridges_cycle():
-    assert bridges(cycle(5)) == ()
+    assert decompose(cycle(5)).bridges == ()
 
 
 def test_bridges_wedge():
-    g = wedge(WedgeSpec((cycle(3), path(2))))
-    assert set(bridges(g)) == {e for e in g.edges if not edge_on_some_cycle(g, e)}
-    assert len(bridges(g)) == 2
+    g = wedge(cycle(3), path(2))
+    bridges = decompose(g).bridges
+    assert set(bridges) == {e for e in g.edges if not edge_on_some_cycle(g, e)}
+    assert len(bridges) == 2
 
 
 def test_bridges_match_cycle_membership_random():
@@ -66,11 +65,11 @@ def test_bridges_match_cycle_membership_random():
         n = rng.randint(2, 11)
         g = build(n, random_connected_edges(rng, n, rng.randint(0, 5)))
         expected = {e for e in g.edges if not edge_on_some_cycle(g, e)}
-        assert set(bridges(g)) == expected
+        assert set(decompose(g).bridges) == expected
 
 
 def test_decompose_bowtie():
-    d = decompose(wedge(WedgeSpec((cycle(3), cycle(3)))))
+    d = decompose(wedge(cycle(3), cycle(3)))
     assert d.bridges == ()
     assert d.cut_vertices == (0,)
     assert len(d.cycle_blocks) == 2
@@ -85,14 +84,13 @@ def test_decompose_paper_display_graph():
     assert len(d.cycle_blocks) == 4
     union = set()
     for b in d.cycle_blocks:
-        sub, _ = b.to_graph()
-        union.update(cycle_spectrum(sub).lengths)
+        union.update(cycle_spectrum(block_graph(b)).lengths)
     assert union == {3, 4}
     assert blockwise_spectrum_check(g)
 
 
 def test_decompose_single_block():
-    g = book(BookParams(2, 4, 3))
+    g = book(2, 4, 3)
     d = decompose(g)
     assert d.bridges == () and d.cut_vertices == ()
     assert len(d.cycle_blocks) == 1

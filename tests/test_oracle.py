@@ -6,20 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicycle import (
-    BookParams,
+    BadParamsError,
     BudgetExceededError,
     OverBudgetError,
     SearchBudget,
-    WedgeSpec,
     book,
     build,
     complete,
     complete_bipartite,
     cycle,
     cycle_spectrum,
-    girth,
     path,
-    subdivide,
     wedge,
 )
 
@@ -29,6 +26,7 @@ from brute import (
     is_simple_cycle,
     random_connected_edges,
     reference_cycle_spectrum,
+    subdivide,
 )
 from structured import structured_graphs
 
@@ -43,6 +41,10 @@ def small_graphs(draw):
 
 
 any_graphs = st.one_of(structured_graphs(), small_graphs())
+
+
+def girth(g):
+    return cycle_spectrum(g).girth
 
 
 def test_girth_examples():
@@ -68,11 +70,11 @@ def test_spectrum_k4():
 
 
 def test_spectrum_book():
-    assert cycle_spectrum(book(BookParams(2, 4, 3))).lengths == (4,)
+    assert cycle_spectrum(book(2, 4, 3)).lengths == (4,)
 
 
 def test_spectrum_wedge():
-    report = cycle_spectrum(wedge(WedgeSpec((cycle(3), cycle(5)))))
+    report = cycle_spectrum(wedge(cycle(3), cycle(5)))
     assert report.lengths == (3, 5)
 
 
@@ -120,9 +122,9 @@ def test_singleton_spectrum_is_hereditary():
     # if all cycles of G share one length, so do those of any subgraph
     rng = random.Random(13)
     pool = [
-        wedge(WedgeSpec((cycle(4), book(BookParams(2, 4, 2))))),
-        book(BookParams(3, 6, 3)),
-        wedge(WedgeSpec((cycle(5), cycle(5), path(2)))),
+        wedge(cycle(4), book(2, 4, 2)),
+        book(3, 6, 3),
+        wedge(cycle(5), cycle(5), path(2)),
     ]
     for g in pool:
         (single,) = graph_cycle_lengths(g)
@@ -137,6 +139,10 @@ def test_over_budget():
         cycle_spectrum(cycle(15))
     with pytest.raises(OverBudgetError):
         cycle_spectrum(cycle(5), SearchBudget(max_vertices=4))
+    # a budget field that is not positive, once a bare ValueError
+    for budget in (SearchBudget(max_vertices=0), SearchBudget(max_visited_states=-1)):
+        with pytest.raises(BadParamsError, match="^budget fields must be positive$"):
+            cycle_spectrum(cycle(5), budget)
 
 
 def test_state_guard():

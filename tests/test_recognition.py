@@ -8,21 +8,15 @@ from hypothesis import strategies as st
 from equicycle import (
     Acyclic,
     AllCyclesEqual,
-    BookParams,
     BookShape,
     CycleShape,
     DistinctLengths,
-    DuplicateEdgeError,
-    NotABlockError,
     NotRejectedError,
     OtherShape,
     OverBudgetError,
     SearchBudget,
-    SelfLoopError,
-    WedgeSpec,
     book,
     build,
-    classify_block,
     complete,
     complete_bipartite,
     cycle,
@@ -31,7 +25,6 @@ from equicycle import (
     decompose,
     extract_witnesses,
     path,
-    subdivide,
     wedge,
 )
 from equicycle import recognition
@@ -44,7 +37,7 @@ from brute import (
     is_connected,
     is_simple_cycle,
     reference_classify,
-    reference_require_block,
+    subdivide,
 )
 from structured import structured_graphs
 
@@ -67,64 +60,48 @@ def assert_exact_pair(g, pair, status):
     assert extract_witnesses(g) == (pair, status)
 
 
-def test_classify_cycle():
-    shape = classify_block(single_block(cycle(6)))
-    assert shape == CycleShape(6)
+THETA = build(6, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
 
 
-def test_classify_book():
-    shape = classify_block(single_block(book(BookParams(2, 4, 4))))
-    assert shape == BookShape(k=2, p=4)
-    assert shape.r == 4
-
-
-def test_classify_k4_other():
-    shape = classify_block(single_block(complete(4)))
-    assert shape == OtherShape("degree-profile")
-
-
-def test_classify_adjacent_hubs_other():
+@pytest.mark.parametrize("g, shape, r", [
+    (cycle(6), CycleShape(6), 6),
+    (book(2, 4, 4), BookShape(k=2, p=4), 4),
+    (complete(4), OtherShape("degree-profile"), None),
     # two triangles sharing an edge: hub paths of lengths 1, 2, 2
-    shape = classify_block(single_block(book(BookParams(1, 3, 2))))
-    assert shape == OtherShape("endpoints-adjacent-structure")
-
-
-def test_classify_unequal_paths_other():
+    (book(1, 3, 2), OtherShape("endpoints-adjacent-structure"), None),
     # theta graph with path lengths 2, 2, 3
-    g = build(6, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
-    assert classify_block(single_block(g)) == OtherShape("unequal-path-lengths")
+    (THETA, OtherShape("unequal-path-lengths"), None),
+], ids=["cycle", "book", "k4-other", "adjacent-hubs-other", "unequal-paths-other"])
+def test_classify(g, shape, r):
+    shapes = decide(g).shapes
+    assert shapes == (shape,) and shapes[0].r == r
 
 
 @settings(max_examples=400, deadline=None)
 @given(structured_graphs())
 def test_classify_matches_reference(g):
-    # the classifier on the chain decomposition's blocks of g, and through
-    # classify_block on a copy of each of decompose's blocks
+    # the classifier on the chain decomposition's blocks of g
     d = decompose(g)
     rows = recognition._cycle_blocks(g)[1]
     assert len(rows) == len(d.cycle_blocks)
-    for block, (_, _, row_shape) in zip(d.cycle_blocks, rows):
+    for block, (_, _, shape) in zip(d.cycle_blocks, rows):
         expected = reference_classify(block)
-        for shape in (row_shape, classify_block(block)):
-            assert shape == expected and repr(shape) == repr(expected)
-            assert getattr(shape, "chains", None) == getattr(expected, "chains", None)
-
-
-THETA = build(6, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
+        assert shape == expected and repr(shape) == repr(expected)
+        assert getattr(shape, "chains", None) == getattr(expected, "chains", None)
 
 
 @pytest.mark.parametrize("g", [
     # one vertex on blocks of every shape: a hub of one book, an inner
     # page vertex of another, on a K4, a theta and cycles, and a bridge
-    wedge(WedgeSpec((cycle(3), book(BookParams(2, 4, 2)), cycle(3), complete(4),
-                     based_at(book(BookParams(2, 4, 3)), 1), THETA, cycle(4), path(3)))),
+    wedge(cycle(3), book(2, 4, 2), cycle(3), complete(4),
+          based_at(book(2, 4, 3), 1), THETA, cycle(4), path(3)),
     # a page's inner vertex that is a cut vertex, with pendant blocks and
     # trees: the blocks are all well-shaped, so witnesses come from two
     # blocks whose walks pass that vertex
-    wedge(WedgeSpec((based_at(book(BookParams(2, 4, 2)), 1), cycle(3), cycle(5),
-                     book(BookParams(3, 6, 2)), path(4), based_at(path(3), 1)))),
+    wedge(based_at(book(2, 4, 2), 1), cycle(3), cycle(5),
+          book(3, 6, 2), path(4), based_at(path(3), 1)),
     # the same with a misshapen pendant block
-    wedge(WedgeSpec((based_at(book(BookParams(2, 4, 2)), 1), complete(4), cycle(3), path(2)))),
+    wedge(based_at(book(2, 4, 2), 1), complete(4), cycle(3), path(2)),
 ], ids=["hub-of-mixed-blocks", "page-vertex-cut", "page-vertex-cut-k4"])
 def test_block_degrees_where_blocks_share_vertices(g):
     # every vertex in turn is the DFS root, so that a shared vertex tops
@@ -133,7 +110,6 @@ def test_block_degrees_where_blocks_share_vertices(g):
         h = based_at(g, root)
         d = decompose(h)
         for block in d.cycle_blocks:
-            reference_require_block(block)
             inside = set(block.vertices)
             assert block.edges == tuple(e for e in h.edges if inside.issuperset(e))
         assert sum(len(b.edges) for b in d.cycle_blocks) + len(d.bridges) == h.edge_count
@@ -144,6 +120,7 @@ def test_block_degrees_where_blocks_share_vertices(g):
         assert len(rows) == len(d.cycle_blocks)
         for block, (least, chains, _) in zip(d.cycle_blocks, rows):
             assert least == block.vertices[0]
+            # an ear decomposition of exactly its edges: the block is 2-connected
             assert ear_decomposition_edges(parent, chains) == block.edges
         assert_exact_pair(h, (res.witness_a, res.witness_b), res.witness_status)
 
@@ -167,8 +144,8 @@ def test_windmill(case):
         g = build(5 + 2 * t, edges)
         shapes = {CycleShape(3): t, BookShape(2, 2): 1}
     else:
-        h, bk = 0, book(BookParams(2, 4, 2))
-        g = wedge(WedgeSpec((cycle(3), *[bk if case == "books-at-hub" else based_at(bk, 1)] * t)))
+        h, bk = 0, book(2, 4, 2)
+        g = wedge(cycle(3), *[bk if case == "books-at-hub" else based_at(bk, 1)] * t)
         shapes = {CycleShape(3): 1, BookShape(2, 2): t}
     d = decompose(g)
     assert len(d.cycle_blocks) == t + 1 and d.bridges == () and d.cut_vertices == (h,)
@@ -176,64 +153,6 @@ def test_windmill(case):
     assert Counter(res.shapes) == shapes
     assert [len(res.witness_a), len(res.witness_b)] == [3, 4]
     assert_exact_pair(g, (res.witness_a, res.witness_b), res.witness_status)
-
-
-def test_classify_rejects_non_block():
-    bowtie = wedge(WedgeSpec((cycle(3), cycle(3))))
-    for block in (
-        Block((0, 1), ((0, 1),)),  # K2
-        Block((0,), ()),
-        Block((0, 1, 2), ((0, 1), (1, 2))),  # a path
-        Block((0, 1, 2, 3), ((0, 1), (0, 2), (1, 2))),  # a triangle and an isolated vertex
-        Block(tuple(range(5)), bowtie.edges),  # two triangles sharing a vertex
-    ):
-        assert refuses(reference_require_block, block)
-        with pytest.raises(NotABlockError):
-            classify_block(block)
-
-
-def test_classify_block_checks_its_edges():
-    # the copy is made by build: a repeated edge and a loop, once taken
-    # for a 3-cycle, raise its errors, and an edge end outside the
-    # vertices, once a bare KeyError, is not a block
-    triangle = ((0, 1), (1, 2), (0, 2))
-    for extra, error in (((0, 1), DuplicateEdgeError), ((1, 1), SelfLoopError),
-                         ((1, 5), NotABlockError)):
-        with pytest.raises(error):
-            classify_block(Block((0, 1, 2), triangle + (extra,)))
-
-
-def non_blocks_around(g, block):
-    """The block itself, then edge sets that are not one block: the
-    whole graph's edges, the block plus a pendant edge, two disjoint
-    copies of the block, and two copies glued at a vertex."""
-    n = g.vertex_count
-    copy = tuple((u + n, v + n) for u, v in block.edges)
-    glued = tuple(tuple(block.vertices[0] if x == block.vertices[0] + n else x for x in e)
-                  for e in copy)
-    yield block.edges
-    yield g.edges
-    yield block.edges + ((block.vertices[0], n),)
-    yield block.edges + copy
-    yield block.edges + glued
-
-
-def refuses(check, block):
-    try:
-        check(block)
-    except NotABlockError:
-        return True
-    return False
-
-
-@settings(max_examples=200, deadline=None)
-@given(structured_graphs())
-def test_block_check_matches_vertex_deletion_reference(g):
-    for block in decompose(g).cycle_blocks:
-        for edges in non_blocks_around(g, block):
-            vertices = tuple(sorted({x for e in edges for x in e}))
-            candidate = Block(vertices, tuple(sorted(edges)))
-            assert refuses(classify_block, candidate) == refuses(reference_require_block, candidate)
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,19 +193,19 @@ def test_decide_matches_brute_force_on_structured_graphs(g):
 
 
 def test_decide_odd_wedge():
-    d = decide(wedge(WedgeSpec((cycle(5), cycle(5), path(3)))))
+    d = decide(wedge(cycle(5), cycle(5), path(3)))
     assert isinstance(d, AllCyclesEqual) and d.r == 5
     assert all(isinstance(s, CycleShape) for s in d.shapes)
 
 
 def test_decide_even_mixed_shapes():
-    d = decide(wedge(WedgeSpec((book(BookParams(3, 6, 4)), cycle(6)))))
+    d = decide(wedge(book(3, 6, 4), cycle(6)))
     assert isinstance(d, AllCyclesEqual) and d.r == 6
     assert {type(s) for s in d.shapes} == {BookShape, CycleShape}
 
 
 def test_decide_distinct_cycles():
-    d = decide(wedge(WedgeSpec((cycle(3), cycle(4)))), witnesses=True)
+    d = decide(wedge(cycle(3), cycle(4)), witnesses=True)
     assert isinstance(d, DistinctLengths)
     assert len(d.witness_a) == 3 and len(d.witness_b) == 4
 
@@ -306,7 +225,7 @@ def test_decide_rejects_subdivided_kuratowski():
 
 def test_decide_book_r_must_match_cycles():
     # Book forces even r; a C_5 alongside B(2,4,p) blocks is rejected
-    g = wedge(WedgeSpec((book(BookParams(2, 4, 2)), cycle(5))))
+    g = wedge(book(2, 4, 2), cycle(5))
     assert isinstance(decide(g), DistinctLengths)
 
 
@@ -315,7 +234,7 @@ def test_odd_acceptance_has_only_cycle_blocks():
     for _ in range(30):
         s = rng.randint(1, 4)
         r = rng.choice([3, 5, 7])
-        g = wedge(WedgeSpec(tuple([cycle(r)] * s) + (path(rng.randint(0, 3)),)))
+        g = wedge(*[cycle(r)] * s, path(rng.randint(0, 3)))
         d = decide(g)
         assert isinstance(d, AllCyclesEqual) and d.r % 2 == 1
         assert all(isinstance(sh, CycleShape) for sh in d.shapes)
@@ -336,7 +255,7 @@ def test_decide_disconnected_notes():
 
 
 def test_witnesses_adjacent_hub_block():
-    pair, status = extract_witnesses(book(BookParams(1, 3, 2)))
+    pair, status = extract_witnesses(book(1, 3, 2))
     assert status == "exact"
     assert sorted(len(c) for c in pair) == [3, 4]
 
@@ -351,7 +270,7 @@ def test_witnesses_oracle_fallback_k4():
 
 
 def test_witnesses_cross_block():
-    g = wedge(WedgeSpec((cycle(3), book(BookParams(3, 6, 2)))))
+    g = wedge(cycle(3), book(3, 6, 2))
     pair, status = extract_witnesses(g)
     assert status == "exact"
     assert sorted(len(c) for c in pair) == [3, 6]
@@ -422,7 +341,6 @@ def test_over_budget_block_is_never_copied(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the witness path copied the block")
 
-    monkeypatch.setattr(Block, "to_graph", refuse)
     monkeypatch.setattr(Block, "__init__", refuse)
     # Hamiltonian 20-cycle with two crossing chords: four hubs, no theta
     # shape, and more vertices than the oracle's default budget
@@ -434,7 +352,7 @@ def test_over_budget_block_is_never_copied(monkeypatch):
 
 
 def test_large_book_with_one_chord_is_exact():
-    b = book(BookParams(2, 4, 10**4))
+    b = book(2, 4, 10**4)
     # a chord between the inner vertices of the last two pages, which the
     # chain replay reaches only after the book has taken every other page
     u, v = [x for x in range(b.vertex_count) if len(b.adjacency[x]) == 2][-2:]
@@ -453,7 +371,7 @@ def two_connected_graphs(draw):
     page length that grow the book; ids and edge order shuffled."""
     if draw(st.booleans()):
         k = draw(st.integers(2, 5))
-        base = book(BookParams(k, 2 * k, draw(st.integers(1, 50 // k))))
+        base = book(k, 2 * k, draw(st.integers(1, 50 // k)))
     else:
         k, base = None, cycle(draw(st.integers(3, 30)))
     n = base.vertex_count
@@ -485,7 +403,7 @@ def test_every_rejection_of_a_large_block_is_exact(g):
 def test_theta_witnesses_from_hand_made_shape():
     # the pair comes from the chains of reference_classify's shape; a
     # hand-made shape and decomposition, passed along, are ignored
-    g = book(BookParams(1, 3, 2))
+    g = book(1, 3, 2)
     expected = reference_classify(single_block(g))
     pair = (recognition._theta_witness_pair(expected.chains), "exact")
     shapes = (OtherShape("endpoints-adjacent-structure"),)
@@ -493,21 +411,21 @@ def test_theta_witnesses_from_hand_made_shape():
     assert extract_witnesses(g, shapes, decomposition=decompose(g)) == pair
 
 
-K4_C3 = wedge(WedgeSpec((complete(4), cycle(3))))
-C3_C4 = wedge(WedgeSpec((cycle(3), cycle(4))))
+K4_C3 = wedge(complete(4), cycle(3))
+C3_C4 = wedge(cycle(3), cycle(4))
 
 
 @pytest.mark.parametrize("g, shapes", [
     # a well-shaped block called degree-profile
     (cycle(4), (OtherShape("degree-profile"),)),
-    (book(BookParams(2, 4, 2)), (OtherShape("degree-profile"),)),
-    (book(BookParams(3, 6, 10**4)), (OtherShape("degree-profile"),)),
+    (book(2, 4, 2), (OtherShape("degree-profile"),)),
+    (book(3, 6, 10**4), (OtherShape("degree-profile"),)),
     # the triangle's block claims r = 5
     (C3_C4, (CycleShape(5), CycleShape(4))),
     # the triangle's block is called misshapen by its chains
     (C3_C4, (OtherShape("unequal-path-lengths"), CycleShape(4))),
     # an accepted graph whose second triangle claims r = 4
-    (wedge(WedgeSpec((cycle(3), cycle(3)))), (CycleShape(3), CycleShape(4))),
+    (wedge(cycle(3), cycle(3)), (CycleShape(3), CycleShape(4))),
     # an isolated vertex, which the pass finds without a given decomposition
     (build(4, [(0, 1), (1, 2), (2, 0)]), (CycleShape(4),)),
     # a K4 block called a cycle or a book
@@ -535,7 +453,7 @@ def test_shapes_other_than_the_blocks_own_raise(g, shapes):
 
 
 def test_other_shape_chains_stay_out_of_eq_and_repr():
-    shape = classify_block(single_block(book(BookParams(1, 3, 2))))
+    (shape,) = decide(book(1, 3, 2)).shapes
     assert shape.chains is not None
     assert shape == OtherShape("endpoints-adjacent-structure")
     assert repr(shape) == repr(OtherShape("endpoints-adjacent-structure"))
