@@ -6,14 +6,15 @@ isolated vertices.  Disconnected inputs are handled per component and
 the results concatenated.
 
 One pass finds them all: a depth-first search, then Schmidt's chain
-decomposition (IPL 113(7), 2013).  Each back edge, taken at its upper
-end with those ends in preorder, starts a chain that runs down the
-back edge and up the tree to the first vertex already on a chain.  A
-chain that closes at its own start opens a block; any other joins the
-block of the tree edge above its end; a tree edge on no chain is a
-bridge.  A block's chains, in order, are an ear decomposition of it: a
-cycle, then paths between vertices already on it.  No block's edge list
-is built on the way to a verdict, and each vertex is walked once.
+decomposition (IPL 113(7), 2013).  The search's scan, the only one of
+the neighbour lists, collects each back edge at its upper end.  With
+those ends in preorder, each back edge starts a chain that runs down
+it and up the tree to the first vertex already on a chain.  A chain
+that closes at its own start opens a block; any other joins the block
+of the tree edge above its end; a tree edge on no chain is a bridge.
+A block's chains, in order, are an ear decomposition of it: a cycle,
+then paths between vertices already on it.  No block's edge list is
+built on the way to a verdict, and each tree edge is walked once at most.
 """
 
 from dataclasses import dataclass
@@ -50,10 +51,15 @@ def chain_decomposition(g):
     the one that holds u's parent, whose kid finishes after all of them.
     chains is flat, four entries per chain: start, second vertex, end
     (the start again for the first, a cycle) and length; the second
-    vertex's walk up the tree to the end gives the rest."""
+    vertex's walk up the tree to the end gives the rest.  A neighbour w
+    already finished in v's scan was reached through an earlier child,
+    so v keeps w as a back edge's lower end, in its sorted-list order;
+    the chain walk reads only those."""
     adj = g.adjacency
     n = g.vertex_count
     parent = [-1] * n
+    done = bytearray(n)  # set once a vertex's neighbour list is scanned through
+    down = [()] * n  # each vertex's back edges down, by their lower ends
     order = []  # preorder
     roots = 0
     for root in range(n):
@@ -71,39 +77,42 @@ def chain_decomposition(g):
                     its.append(it)
                     v, it = w, iter(adj[w])
                     break
+                # a finished neighbour is a descendant reached through an
+                # earlier child: (v, w) is a back edge down from v
+                if done[w]:
+                    if down[v]:
+                        down[v].append(w)
+                    else:
+                        down[v] = [w]
             else:
+                done[v] = 1
                 if not its:
                     break
                 v, it = parent[v], its.pop()
     chain = [-1] * n
-    started = bytearray(n)
     block = []
     blocks, least, kids = [], [], []
     for v in order:
-        started[v] = 1
-        for w in adj[v]:
-            # a neighbour not yet started is a descendant: a back edge
-            # down from v unless it is v's own child
-            if not started[w] and parent[w] != v:
-                c = len(block)
-                y, lo, length = w, v, 1
-                while y != v and chain[y] < 0:
-                    chain[y] = c
-                    if y < lo:
-                        lo = y
-                    kid, y = y, parent[y]
-                    length += 1
-                if y == v:
-                    b = len(blocks)
-                    blocks.append([v, w, v, length])
-                    least.append(lo)
-                    kids.append(kid)
-                else:
-                    b = block[chain[y]]
-                    blocks[b] += (v, w, y, length)
-                    if lo < least[b]:
-                        least[b] = lo
-                block.append(b)
+        for w in down[v]:
+            c = len(block)
+            y, lo, length = w, v, 1
+            while y != v and chain[y] < 0:
+                chain[y] = c
+                if y < lo:
+                    lo = y
+                kid, y = y, parent[y]
+                length += 1
+            if y == v:
+                b = len(blocks)
+                blocks.append([v, w, v, length])
+                least.append(lo)
+                kids.append(kid)
+            else:
+                b = block[chain[y]]
+                blocks[b] += (v, w, y, length)
+                if lo < least[b]:
+                    least[b] = lo
+            block.append(b)
     below = [chains[0] != lo for lo, chains in zip(least, blocks)]
     rows = sorted(zip(least, below, kids, range(len(blocks)), blocks))
     return roots, parent, chain, block, rows

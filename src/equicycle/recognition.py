@@ -8,12 +8,13 @@ blocks implying different r, forces two distinct cycle lengths.
 The decision is one linear pass, decomposition.chain_decomposition,
 which gives each block as its chains, an ear decomposition of it.  C_r
 is one chain.  In any other block the hubs are the ends of every chain
-but the first; with two hubs, the first cycle split at them and the
-later chains are the hub-to-hub paths, whose lengths settle the shape.
-This pass is the only way any caller gets block shapes: decide,
-extract_witnesses and bounds.certify_graph all read them from it, so
-every block carries the shape this one classifier gave it, which
-decides where its witnesses come from.
+but the first; with two hubs, the first cycle's arcs between them and
+the later chains are the hub-to-hub paths, whose lengths, read off the
+records and one walk up the tree, settle the shape; the paths are built
+only for witnesses.  This pass is the only way any caller gets block
+shapes: decide, extract_witnesses and bounds.certify_graph all read
+them from it, so every block carries the shape this one classifier gave
+it, which decides where its witnesses come from.
 
 Every rejection is given two witness cycles of distinct lengths, in
 linear time and with no search budget.  They come from the first
@@ -23,7 +24,7 @@ book and the first chain that breaks it as an ear.  When every block is
 well-shaped, they come from two blocks of different r.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
 
@@ -55,16 +56,16 @@ class BookShape:
 class OtherShape:
     """Block matches neither accepted shape; reason is one of
     degree-profile, unequal-path-lengths, endpoints-adjacent-structure.
-    For the two reasons that mean unequal hub-to-hub chains, chains
-    holds those chains for the witness path."""
+    The classifier gives each reason as one module constant."""
 
     reason: str
-    chains: list | None = field(default=None, compare=False, repr=False)
 
     r = None
 
 
 _DEGREE_PROFILE = OtherShape("degree-profile")
+_UNEQUAL_PATHS = OtherShape("unequal-path-lengths")
+_ENDPOINTS_ADJACENT = OtherShape("endpoints-adjacent-structure")
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,11 @@ def _chain(parent, v, w, x):
 
 
 def _hub_paths(parent, chains):
-    """The paths between the two hubs of a two-hub block, each from the
-    lesser hub, ordered by second vertex: the first cycle split at the
-    hubs, the ends of the second chain, and every later chain.  A later
-    chain's inner vertices have degree 2 and its ends are hubs, so it
-    joins the two."""
+    """The paths between the two hubs of a two-hub block, for witnesses,
+    each from the lesser hub, ordered by second vertex: the first cycle
+    split at the hubs, the ends of the second chain, and every later
+    chain.  A later chain's inner vertices have degree 2 and its ends
+    are hubs, so it joins the two."""
     a, b = sorted(chains[4:7:2])
     ring = _chain(parent, *chains[:3])
     i = ring.index(a)
@@ -124,33 +125,38 @@ def _hub_paths(parent, chains):
 
 def _classify(parent, chains):
     """Shape of a cycle block from its chains (chain_decomposition's
-    flat records); the hub-to-hub paths are walked, by _hub_paths, only
-    when it has two hubs."""
+    flat records), read from their count, ends and lengths.  Only a
+    two-hub block walks the tree, once up its first cycle to measure
+    the arc between the hubs; no path is built."""
     if len(chains) == 4:
         return CycleShape(chains[3])
     # every chain but the first adds one to the degree of its two ends,
     # so the hubs are the second chain's ends if every later one has them
-    if not set(chains[4:7:2]).issuperset(islice(chains, 8, None, 2)):
+    a, b = chains[4:7:2]
+    if not {a, b}.issuperset(islice(chains, 8, None, 2)):
         return _DEGREE_PROFILE
-    paths = _hub_paths(parent, chains)
-    lens = [len(c) - 1 for c in paths]
-    if len(set(lens)) > 1:
-        if 1 in lens:
-            return OtherShape("endpoints-adjacent-structure", paths)
-        return OtherShape("unequal-path-lengths", paths)
-    k = lens[0]
-    # equal lengths with k = 1 would need parallel edges; unreachable in
+    # both hubs lie on the first cycle's tree path, from its second
+    # vertex up to its top: the first met to the other is one arc, d long
+    y = chains[1]
+    while y != a and y != b:
+        y = parent[y]
+    d, other = 0, (b if y == a else a)
+    while y != other:
+        y, d = parent[y], d + 1
+    lens = {d, chains[3] - d, *chains[7::4]}
+    if len(lens) > 1:
+        return _ENDPOINTS_ADJACENT if 1 in lens else _UNEQUAL_PATHS
+    # equal lengths with d = 1 would need parallel edges; unreachable in
     # a simple graph, kept as a guard
-    if k < 2:
-        return OtherShape("endpoints-adjacent-structure")
-    return BookShape(k, len(paths) - 1)
+    if d < 2:
+        return _ENDPOINTS_ADJACENT
+    return BookShape(d, len(chains) // 4)
 
 
 def _cycle_blocks(g):
     """The component count; each cycle block as a row (least vertex,
     chains, shape), in chain_decomposition's order; and the depth-first
-    forest's parent list, along which the witness path walks a row's
-    chains."""
+    forest's parent list, along which a row's chains are walked."""
     component_count, parent, _, _, rows = chain_decomposition(g)
     return (component_count,
             [(least, chains, _classify(parent, chains)) for least, _, _, _, chains in rows],
@@ -272,7 +278,7 @@ def _witness_pair(parent, blocks):
         if shape is _DEGREE_PROFILE:
             return _replay_witness_pair(parent, chains)
         if shape.r is None:
-            return _theta_witness_pair(shape.chains)
+            return _theta_witness_pair(_hub_paths(parent, chains))
     # otherwise two well-shaped blocks disagree on r: the first block of
     # the least r and the first of the greatest give one cycle each
     rs = [shape.r for _, _, shape in blocks]
@@ -287,8 +293,8 @@ def decide(g, witnesses=False, decomposition=None):
     blocks, and DistinctLengths otherwise.  The decision never
     enumerates cycles: one pass, a depth-first search and its chain
     decomposition, gives each block as its chains, and each block is
-    classified from their count and ends, walking hub-to-hub paths only
-    in a two-hub block.
+    classified from their count, ends and lengths; only a two-hub block
+    walks the tree, once up its first cycle between its hubs.
     decomposition is ignored: the blocks are always this pass's own.  It
     is still accepted because the benchmark harness's traced pipeline
     (bench/measure.py) passes decompose(g); it goes with that caller.

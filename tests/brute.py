@@ -338,8 +338,10 @@ def block_adjacency(block):
 
 def reference_classify(block):
     """Adjacency-based block classifier: reads every vertex degree, then
-    walks the hub-to-hub chains.  Same shapes, reasons and chains as
-    recognition._classify."""
+    walks the hub-to-hub chains.  Same shapes and reasons as
+    recognition._classify.  A misshapen two-hub block's shape also
+    carries those chains as .chains, outside its fields, for
+    row_hub_paths to be checked against."""
     adj = block_adjacency(block)
     m = len(block.vertices)
     degs = [len(adj[v]) for v in block.vertices]
@@ -358,12 +360,22 @@ def reference_classify(block):
     if sum(k - 1 for k in lens) + 2 != m:
         return OtherShape("count-mismatch")
     if len(set(lens)) > 1:
-        if 1 in lens:
-            return OtherShape("endpoints-adjacent-structure", chains)
-        return OtherShape("unequal-path-lengths", chains)
+        shape = OtherShape("endpoints-adjacent-structure" if 1 in lens else "unequal-path-lengths")
+        object.__setattr__(shape, "chains", chains)  # frozen, so set past its guard
+        return shape
     if lens[0] < 2:
         return OtherShape("endpoints-adjacent-structure")
     return BookShape(lens[0], len(adj[a]) - 1)
+
+
+def row_hub_paths(parent, chains, shape):
+    """The hub-to-hub paths the witness path walks for a _cycle_blocks
+    row (its chains and shape, along the parent list), by
+    recognition._hub_paths, when the row is a misshapen two-hub block;
+    otherwise None.  reference_classify's .chains, where it has them."""
+    if shape.r is None and shape is not recognition._DEGREE_PROFILE:
+        return recognition._hub_paths(parent, chains)
+    return None
 
 
 def _hopcroft_tarjan(vertex_count, adjacency):
@@ -443,6 +455,71 @@ def reference_blocks(g):
     blocks.sort(key=lambda b: b.vertices[0])
     return BlockDecomposition(tuple(sorted(bridges)), tuple(sorted(cuts)), tuple(blocks),
                               component_count)
+
+
+def reference_chains(g):
+    """The chain decomposition by the library's earlier two scans: a
+    depth-first search for parents and the preorder, then a second pass
+    over every neighbour list, in preorder, that takes each back edge at
+    its upper end.  Kept as the reference for
+    decomposition.chain_decomposition's five return values, the chain
+    order included."""
+    adj = g.adjacency
+    n = g.vertex_count
+    parent = [-1] * n
+    order = []  # preorder
+    roots = 0
+    for root in range(n):
+        if parent[root] >= 0:
+            continue
+        roots += 1
+        parent[root] = v = root
+        order.append(root)
+        it, its = iter(adj[root]), []
+        while True:
+            for w in it:
+                if parent[w] < 0:
+                    parent[w] = v
+                    order.append(w)
+                    its.append(it)
+                    v, it = w, iter(adj[w])
+                    break
+            else:
+                if not its:
+                    break
+                v, it = parent[v], its.pop()
+    chain = [-1] * n
+    started = bytearray(n)
+    block = []
+    blocks, least, kids = [], [], []
+    for v in order:
+        started[v] = 1
+        for w in adj[v]:
+            # a neighbour not yet started is a descendant: a back edge
+            # down from v unless it is v's own child
+            if not started[w] and parent[w] != v:
+                c = len(block)
+                y, lo, length = w, v, 1
+                while y != v and chain[y] < 0:
+                    chain[y] = c
+                    if y < lo:
+                        lo = y
+                    kid, y = y, parent[y]
+                    length += 1
+                if y == v:
+                    b = len(blocks)
+                    blocks.append([v, w, v, length])
+                    least.append(lo)
+                    kids.append(kid)
+                else:
+                    b = block[chain[y]]
+                    blocks[b] += (v, w, y, length)
+                    if lo < least[b]:
+                        least[b] = lo
+                block.append(b)
+    below = [chains[0] != lo for lo, chains in zip(least, blocks)]
+    rows = sorted(zip(least, below, kids, range(len(blocks)), blocks))
+    return roots, parent, chain, block, rows
 
 
 def ear_decomposition_edges(parent, chains):

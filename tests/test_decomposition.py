@@ -15,6 +15,7 @@ from equicycle import (
 )
 
 from equicycle import recognition
+from equicycle.decomposition import chain_decomposition
 from equicycle.graph import Graph
 
 from brute import (
@@ -26,7 +27,9 @@ from brute import (
     edge_on_some_cycle,
     random_connected_edges,
     reference_blocks,
+    reference_chains,
     reference_classify,
+    row_hub_paths,
 )
 from structured import structured_graphs
 
@@ -170,11 +173,15 @@ def test_disconnected_input_decomposes_per_component():
 
 
 def assert_matches_reference(g):
-    """decompose(g) is reference_blocks(g), Hopcroft-Tarjan's, blocks in
-    the same order; decide's rows have those blocks' least vertices and
-    reference_classify's shapes, reasons and two-hub chains; and each
-    row's chains are an ear decomposition of its block's edges.  True
-    when two blocks share their least vertex."""
+    """chain_decomposition(g) is reference_chains(g), the two-scan pass,
+    chain order included; decompose(g) is reference_blocks(g),
+    Hopcroft-Tarjan's, blocks in the same order; decide's rows have
+    those blocks' least vertices and reference_classify's shapes and
+    reasons, and the witness path's hub-to-hub paths of a misshapen
+    two-hub row are its chains; and each row's chains are an ear
+    decomposition of its block's edges.  True when two blocks share
+    their least vertex."""
+    assert chain_decomposition(g) == reference_chains(g)
     expected = reference_blocks(g)
     assert decompose(g) == expected
     count, rows, parent = recognition._cycle_blocks(g)
@@ -183,7 +190,7 @@ def assert_matches_reference(g):
         reference = reference_classify(block)
         assert least == block.vertices[0]
         assert repr(shape) == repr(reference)
-        assert getattr(shape, "chains", None) == getattr(reference, "chains", None)
+        assert row_hub_paths(parent, chains, shape) == getattr(reference, "chains", None)
         assert ear_decomposition_edges(parent, chains) == block.edges
     leasts = [least for least, _, _ in rows]
     return len(set(leasts)) < len(leasts)

@@ -37,6 +37,7 @@ from brute import (
     is_connected,
     is_simple_cycle,
     reference_classify,
+    row_hub_paths,
     subdivide,
 )
 from structured import structured_graphs
@@ -82,12 +83,12 @@ def test_classify(g, shape, r):
 def test_classify_matches_reference(g):
     # the classifier on the chain decomposition's blocks of g
     d = decompose(g)
-    rows = recognition._cycle_blocks(g)[1]
+    _, rows, parent = recognition._cycle_blocks(g)
     assert len(rows) == len(d.cycle_blocks)
-    for block, (_, _, shape) in zip(d.cycle_blocks, rows):
+    for block, (_, chains, shape) in zip(d.cycle_blocks, rows):
         expected = reference_classify(block)
         assert shape == expected and repr(shape) == repr(expected)
-        assert getattr(shape, "chains", None) == getattr(expected, "chains", None)
+        assert row_hub_paths(parent, chains, shape) == getattr(expected, "chains", None)
 
 
 @pytest.mark.parametrize("g", [
@@ -182,12 +183,14 @@ def test_decide_matches_brute_force_on_structured_graphs(g):
         assert isinstance(d, AllCyclesEqual) and d.r == lengths.pop()
     else:
         assert isinstance(d, DistinctLengths)
-    # the shapes, chains included, are reference_classify's on
-    # decompose's blocks, and a note marks exactly the disconnected inputs
+    # the shapes are reference_classify's on decompose's blocks, a
+    # misshapen two-hub block's hub-to-hub paths its chains, and a note
+    # marks exactly the disconnected inputs
     expected = tuple(reference_classify(b) for b in decompose(g).cycle_blocks)
     shapes = getattr(d, "shapes", ())
     assert repr(shapes) == repr(expected)
-    assert ([getattr(s, "chains", None) for s in shapes]
+    _, rows, parent = recognition._cycle_blocks(g)
+    assert ([row_hub_paths(parent, chains, shape) for _, chains, shape in rows]
             == [getattr(s, "chains", None) for s in expected])
     assert bool(d.notes) == (not is_connected(g))
 
@@ -401,10 +404,13 @@ def test_every_rejection_of_a_large_block_is_exact(g):
 
 
 def test_theta_witnesses_from_hand_made_shape():
-    # the pair comes from the chains of reference_classify's shape; a
-    # hand-made shape and decomposition, passed along, are ignored
+    # the pair comes from the block's hub-to-hub paths, which are the
+    # chains of reference_classify's shape; a hand-made shape and
+    # decomposition, passed along, are ignored
     g = book(1, 3, 2)
     expected = reference_classify(single_block(g))
+    _, [(_, chains, shape)], parent = recognition._cycle_blocks(g)
+    assert row_hub_paths(parent, chains, shape) == expected.chains
     pair = (recognition._theta_witness_pair(expected.chains), "exact")
     shapes = (OtherShape("endpoints-adjacent-structure"),)
     assert extract_witnesses(g) == pair
@@ -452,11 +458,13 @@ def test_shapes_other_than_the_blocks_own_raise(g, shapes):
     assert outcome(shapes, decomposition=d) == outcome()
 
 
-def test_other_shape_chains_stay_out_of_eq_and_repr():
-    (shape,) = decide(book(1, 3, 2)).shapes
-    assert shape.chains is not None
-    assert shape == OtherShape("endpoints-adjacent-structure")
-    assert repr(shape) == repr(OtherShape("endpoints-adjacent-structure"))
+def test_other_shape_reasons_are_module_constants():
+    for g, constant, reason in [
+            (complete(4), recognition._DEGREE_PROFILE, "degree-profile"),
+            (THETA, recognition._UNEQUAL_PATHS, "unequal-path-lengths"),
+            (book(1, 3, 2), recognition._ENDPOINTS_ADJACENT, "endpoints-adjacent-structure")]:
+        (shape,) = decide(g).shapes
+        assert shape is constant and shape == OtherShape(reason)
 
 
 def test_extract_witnesses_requires_rejection():
