@@ -248,7 +248,8 @@ def _build_parser():
         for name in names:
             q.add_argument(f"--{name}", type=int, required=True)
         q.add_argument("-o", "--output")
-    q = gsub.add_parser("wedge")
+    q = gsub.add_parser("wedge", help="wedge sum of edge-list files, in dense ids: each file is "
+                        "renumbered in label order, and its base is its least label")
     q.add_argument("files", nargs="+")
     q.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)

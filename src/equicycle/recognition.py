@@ -10,23 +10,22 @@ which gives each block as its chains, an ear decomposition of it.  C_r
 is one chain.  In any other block the hubs are the ends of every chain
 but the first; with two hubs, the first cycle's arcs between them and
 the later chains are the hub-to-hub paths, whose lengths, read off the
-records and one walk up the tree, settle the shape; the paths are built
-only for witnesses.  This pass is the only way any caller gets block
-shapes: decide, extract_witnesses and bounds.certify_graph all read
-them from it, so every block carries the shape this one classifier gave
-it, which decides where its witnesses come from.
+records and one walk up the tree, settle the shape; no path is built.
+This pass is the only way any caller gets block shapes: decide,
+extract_witnesses and bounds.certify_graph all read them from it, so
+every block carries the shape this one classifier gave it, which
+decides where its witnesses come from.
 
 Every rejection is given two witness cycles of distinct lengths, in
 linear time and with no search budget.  They come from the first
-misshapen block: from its hub-to-hub paths when it has two hubs, and
-otherwise from its chains replayed, the first ones as a cycle or a
-book and the first chain that breaks it as an ear.  When every block is
-well-shaped, they come from two blocks of different r.
+misshapen block, whatever its hubs, by replaying its chains: the first
+ones as a cycle or a book and the first chain that breaks it as an ear.
+When every block is well-shaped, they come from two blocks of
+different r, each giving its first chain's cycle.
 """
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter
 
 from .decomposition import chain_decomposition
 from .errors import NotRejectedError
@@ -102,27 +101,6 @@ def _chain(parent, v, w, x):
     return path
 
 
-def _hub_paths(parent, chains):
-    """The paths between the two hubs of a two-hub block, for witnesses,
-    each from the lesser hub, ordered by second vertex: the first cycle
-    split at the hubs, the ends of the second chain, and every later
-    chain.  A later chain's inner vertices have degree 2 and its ends
-    are hubs, so it joins the two."""
-    a, b = sorted(chains[4:7:2])
-    ring = _chain(parent, *chains[:3])
-    i = ring.index(a)
-    ring = ring[i:-1] + ring[:i]
-    j = ring.index(b)
-    paths = [ring[:j + 1], ring[:1] + ring[:j - 1:-1]]
-    for q in range(4, len(chains), 4):
-        path = _chain(parent, *chains[q:q + 3])
-        if path[0] != a:
-            path.reverse()
-        paths.append(path)
-    paths.sort(key=itemgetter(1))
-    return paths
-
-
 def _classify(parent, chains):
     """Shape of a cycle block from its chains (chain_decomposition's
     flat records), read from their count, ends and lengths.  Only a
@@ -154,12 +132,12 @@ def _classify(parent, chains):
 
 
 def _cycle_blocks(g):
-    """The component count; each cycle block as a row (least vertex,
-    chains, shape), in chain_decomposition's order; and the depth-first
-    forest's parent list, along which a row's chains are walked."""
+    """The component count; each cycle block as a row (chains, shape),
+    in chain_decomposition's order; and the depth-first forest's parent
+    list, along which a row's chains are walked."""
     component_count, parent, _, _, rows = chain_decomposition(g)
     return (component_count,
-            [(least, chains, _classify(parent, chains)) for least, _, _, _, chains in rows],
+            [(chains, _classify(parent, chains)) for *_, chains in rows],
             parent)
 
 
@@ -168,24 +146,22 @@ def _chain_pair_cycle(c1, c2):
     return tuple(c1[:-1] + list(reversed(c2[1:])))
 
 
-def _block_cycle(parent, least, chains, shape):
-    """A cycle of a well-shaped block, from its _cycle_blocks row: in a
-    cycle, one way round from its least vertex, towards that vertex's
-    smaller neighbour; in a book, its first two pages from the lesser
-    hub."""
-    if isinstance(shape, CycleShape):
-        ring = _chain(parent, *chains[:3])[:-1]
-        i = ring.index(least)
-        ring = ring[i:] + ring[:i]
-        return tuple(ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1])
-    return _chain_pair_cycle(*_hub_paths(parent, chains)[:2])
+def _block_cycle(parent, chains):
+    """A cycle of a well-shaped block: its first chain, one way round
+    from its least vertex, towards that vertex's smaller neighbour.  A
+    C_r's first chain is the whole block, and every cycle of a book has
+    its length r."""
+    ring = _chain(parent, *chains[:3])[:-1]
+    i = ring.index(min(ring))
+    ring = ring[i:] + ring[:i]
+    return tuple(ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1])
 
 
-def _theta_witness_pair(chains):
-    """Two cycles of distinct lengths from the hub-to-hub chains (three
-    or more, not all of one length) of a two-hub block."""
-    shortest, third, *_, longest = sorted(chains, key=len)
-    return _chain_pair_cycle(shortest, third), _chain_pair_cycle(longest, third)
+def _theta_witness_pair(paths):
+    """Two cycles of distinct lengths from three internally disjoint
+    paths between two vertices, not all of one length."""
+    shortest, middle, longest = sorted(paths, key=len)
+    return _chain_pair_cycle(shortest, middle), _chain_pair_cycle(longest, middle)
 
 
 def _shorter_first(cycles):
@@ -198,13 +174,15 @@ def _shorter_first(cycles):
     return None
 
 
-def _book_ear_pair(pages, at, ear):
+def _book_ear_pair(pages, ear):
     """Two cycles of distinct lengths in a book and an ear that is not a
-    further page.  pages are the book's equal a..b paths, at gives each
-    book vertex's (page, index from a), and the ear runs from u to w.
-    A hub lies on every page, so it takes the page of the other end."""
+    further page.  pages are the book's equal a..b paths, and the ear
+    runs from u to w on the book; each end is looked up once, as the
+    first page holding it and its index from a there.  A hub lies on
+    every page, found on page 0 at 0 or k, so it takes the other end's."""
     k = len(pages[0]) - 1
-    (i, s), (j, t) = at[ear[0]], at[ear[-1]]
+    (i, s), (j, t) = (next((n, page.index(x)) for n, page in enumerate(pages) if x in page)
+                      for x in (ear[0], ear[-1]))
     if s in (0, k):
         i = j
     elif t in (0, k):
@@ -232,14 +210,15 @@ def _book_ear_pair(pages, at, ear):
 
 
 def _replay_witness_pair(parent, chains):
-    """Two cycles of distinct lengths in a block with more than two
-    hubs, by replaying its chains.  The second chain joins two vertices
-    of the first cycle: with the cycle's two arcs, three paths between
-    them; unequal lengths give the pair.  Equal ones are the first
-    pages of a book with those two vertices as hubs, which takes each
-    later chain of page length between the hubs as a page.  Every chain
-    joins two vertices already on the book, and the block is no book,
-    so the first other chain is an ear that breaks it."""
+    """Two cycles of distinct lengths in a misshapen block, by replaying
+    its chains.  The second chain joins two vertices of the first cycle:
+    with the cycle's two arcs, three paths between them; unequal lengths
+    give the pair.  Equal ones are the first pages of a book with those
+    two vertices as hubs, which takes each later chain of page length
+    between the hubs as a page.  Every chain joins two vertices already
+    on the book, and the block is no book, so the first other chain is
+    an ear that breaks it; in a two-hub block that ear runs hub to hub,
+    a path of another length."""
     ring = _chain(parent, *chains[:3])[:-1]
     ear = _chain(parent, *chains[4:7])
     n = len(ring)
@@ -252,16 +231,14 @@ def _replay_witness_pair(parent, chains):
     a, b = ear[0], ear[-1]
     k = len(ear) - 1
     pages = []
-    at = {a: (0, 0), b: (0, k)}  # each book vertex's (page, index from a)
     later = (_chain(parent, *chains[q:q + 3]) for q in range(8, len(chains), 4))
     for ear in chain(first, later):
         if len(ear) != k + 1 or {ear[0], ear[-1]} != {a, b}:
-            return _book_ear_pair(pages, at, ear)
+            return _book_ear_pair(pages, ear)
         if ear[0] != a:
             ear.reverse()
-        at.update((ear[t], (len(pages), t)) for t in range(1, k))
         pages.append(ear)
-    return None  # unreachable: a block with more than two hubs is no book
+    return None  # unreachable: a misshapen block is no book
 
 
 def _common_r(shapes):
@@ -272,17 +249,15 @@ def _common_r(shapes):
 
 def _witness_pair(parent, blocks):
     """Two simple cycles of distinct lengths, shorter first, from the
-    _cycle_blocks rows of a rejected graph."""
+    _cycle_blocks rows of a rejected graph: the first misshapen block's
+    replayed chains, or else one cycle each from the first block of the
+    least r and the first of the greatest."""
     # a single misshapen block always contains both lengths
-    for _, chains, shape in blocks:
-        if shape is _DEGREE_PROFILE:
-            return _replay_witness_pair(parent, chains)
+    for chains, shape in blocks:
         if shape.r is None:
-            return _theta_witness_pair(_hub_paths(parent, chains))
-    # otherwise two well-shaped blocks disagree on r: the first block of
-    # the least r and the first of the greatest give one cycle each
-    rs = [shape.r for _, _, shape in blocks]
-    return tuple(_block_cycle(parent, *blocks[rs.index(r)]) for r in (min(rs), max(rs)))
+            return _replay_witness_pair(parent, chains)
+    rs = [shape.r for _, shape in blocks]
+    return tuple(_block_cycle(parent, blocks[rs.index(r)][0]) for r in (min(rs), max(rs)))
 
 
 def decide(g, witnesses=False, decomposition=None):
@@ -302,9 +277,9 @@ def decide(g, witnesses=False, decomposition=None):
     Pass witnesses=True to also attach a pair of cycles of distinct
     lengths, shorter first, to every rejection (status 'exact'; without
     witnesses the status is 'decision-only').  The pair costs linear
-    time and no budget: it comes from the first misshapen block, by its
-    hub-to-hub paths when it has two hubs and by replaying its chains
-    otherwise, or from two blocks of different r.
+    time and no budget: it comes from the first misshapen block, by
+    replaying its chains, or else from the first chains of two blocks
+    of different r.
     """
     component_count, blocks, parent = _cycle_blocks(g)
     notes = ()
@@ -312,7 +287,7 @@ def decide(g, witnesses=False, decomposition=None):
         notes = ("input is disconnected; decided over all components",)
     if not blocks:
         return Acyclic(notes)
-    shapes = tuple([shape for _, _, shape in blocks])
+    shapes = tuple([shape for _, shape in blocks])
     r = _common_r(shapes)
     if r is not None:
         return AllCyclesEqual(r, shapes, notes)
@@ -333,6 +308,6 @@ def extract_witnesses(g, shapes=None, decomposition=None):
     decompose(g); they go with that caller.
     """
     _, blocks, parent = _cycle_blocks(g)
-    if not blocks or _common_r([shape for _, _, shape in blocks]) is not None:
+    if not blocks or _common_r([shape for _, shape in blocks]) is not None:
         raise NotRejectedError("graph does not contain two distinct cycle lengths")
     return _witness_pair(parent, blocks), "exact"

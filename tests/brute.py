@@ -339,9 +339,7 @@ def block_adjacency(block):
 def reference_classify(block):
     """Adjacency-based block classifier: reads every vertex degree, then
     walks the hub-to-hub chains.  Same shapes and reasons as
-    recognition._classify.  A misshapen two-hub block's shape also
-    carries those chains as .chains, outside its fields, for
-    row_hub_paths to be checked against."""
+    recognition._classify."""
     adj = block_adjacency(block)
     m = len(block.vertices)
     degs = [len(adj[v]) for v in block.vertices]
@@ -360,22 +358,10 @@ def reference_classify(block):
     if sum(k - 1 for k in lens) + 2 != m:
         return OtherShape("count-mismatch")
     if len(set(lens)) > 1:
-        shape = OtherShape("endpoints-adjacent-structure" if 1 in lens else "unequal-path-lengths")
-        object.__setattr__(shape, "chains", chains)  # frozen, so set past its guard
-        return shape
+        return OtherShape("endpoints-adjacent-structure" if 1 in lens else "unequal-path-lengths")
     if lens[0] < 2:
         return OtherShape("endpoints-adjacent-structure")
     return BookShape(lens[0], len(adj[a]) - 1)
-
-
-def row_hub_paths(parent, chains, shape):
-    """The hub-to-hub paths the witness path walks for a _cycle_blocks
-    row (its chains and shape, along the parent list), by
-    recognition._hub_paths, when the row is a misshapen two-hub block;
-    otherwise None.  reference_classify's .chains, where it has them."""
-    if shape.r is None and shape is not recognition._DEGREE_PROFILE:
-        return recognition._hub_paths(parent, chains)
-    return None
 
 
 def _hopcroft_tarjan(vertex_count, adjacency):

@@ -29,7 +29,6 @@ from brute import (
     reference_blocks,
     reference_chains,
     reference_classify,
-    row_hub_paths,
 )
 from structured import structured_graphs
 
@@ -175,24 +174,22 @@ def test_disconnected_input_decomposes_per_component():
 def assert_matches_reference(g):
     """chain_decomposition(g) is reference_chains(g), the two-scan pass,
     chain order included; decompose(g) is reference_blocks(g),
-    Hopcroft-Tarjan's, blocks in the same order; decide's rows have
-    those blocks' least vertices and reference_classify's shapes and
-    reasons, and the witness path's hub-to-hub paths of a misshapen
-    two-hub row are its chains; and each row's chains are an ear
-    decomposition of its block's edges.  True when two blocks share
-    their least vertex."""
-    assert chain_decomposition(g) == reference_chains(g)
+    Hopcroft-Tarjan's, blocks in the same order; the pass's rows have
+    those blocks' least vertices, decide's rows reference_classify's
+    shapes and reasons, and each row's chains are an ear decomposition
+    of its block's edges.  True when two blocks share their least
+    vertex."""
+    records = chain_decomposition(g)
+    assert records == reference_chains(g)
     expected = reference_blocks(g)
     assert decompose(g) == expected
     count, rows, parent = recognition._cycle_blocks(g)
     assert count == expected.component_count and len(rows) == len(expected.cycle_blocks)
-    for (least, chains, shape), block in zip(rows, expected.cycle_blocks):
-        reference = reference_classify(block)
+    for (least, *_), (chains, shape), block in zip(records[4], rows, expected.cycle_blocks):
         assert least == block.vertices[0]
-        assert repr(shape) == repr(reference)
-        assert row_hub_paths(parent, chains, shape) == getattr(reference, "chains", None)
+        assert repr(shape) == repr(reference_classify(block))
         assert ear_decomposition_edges(parent, chains) == block.edges
-    leasts = [least for least, _, _ in rows]
+    leasts = [least for least, *_ in records[4]]
     return len(set(leasts)) < len(leasts)
 
 

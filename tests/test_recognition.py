@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from equicycle import (
     wedge,
 )
 from equicycle import recognition
-from equicycle.decomposition import Block
+from equicycle.decomposition import Block, chain_decomposition
 
 from brute import (
     based_at,
@@ -37,16 +38,9 @@ from brute import (
     is_connected,
     is_simple_cycle,
     reference_classify,
-    row_hub_paths,
     subdivide,
 )
 from structured import structured_graphs
-
-
-def single_block(g):
-    blocks = decompose(g).cycle_blocks
-    assert len(blocks) == 1
-    return blocks[0]
 
 
 def assert_exact_pair(g, pair, status):
@@ -83,12 +77,11 @@ def test_classify(g, shape, r):
 def test_classify_matches_reference(g):
     # the classifier on the chain decomposition's blocks of g
     d = decompose(g)
-    _, rows, parent = recognition._cycle_blocks(g)
+    _, rows, _ = recognition._cycle_blocks(g)
     assert len(rows) == len(d.cycle_blocks)
-    for block, (_, chains, shape) in zip(d.cycle_blocks, rows):
+    for block, (_, shape) in zip(d.cycle_blocks, rows):
         expected = reference_classify(block)
         assert shape == expected and repr(shape) == repr(expected)
-        assert row_hub_paths(parent, chains, shape) == getattr(expected, "chains", None)
 
 
 @pytest.mark.parametrize("g", [
@@ -119,7 +112,8 @@ def test_block_degrees_where_blocks_share_vertices(g):
         assert repr(res.shapes) == repr(tuple(expected))
         _, rows, parent = recognition._cycle_blocks(h)
         assert len(rows) == len(d.cycle_blocks)
-        for block, (least, chains, _) in zip(d.cycle_blocks, rows):
+        leasts = [least for least, *_ in chain_decomposition(h)[4]]
+        for block, least, (chains, _) in zip(d.cycle_blocks, leasts, rows):
             assert least == block.vertices[0]
             # an ear decomposition of exactly its edges: the block is 2-connected
             assert ear_decomposition_edges(parent, chains) == block.edges
@@ -183,15 +177,11 @@ def test_decide_matches_brute_force_on_structured_graphs(g):
         assert isinstance(d, AllCyclesEqual) and d.r == lengths.pop()
     else:
         assert isinstance(d, DistinctLengths)
-    # the shapes are reference_classify's on decompose's blocks, a
-    # misshapen two-hub block's hub-to-hub paths its chains, and a note
-    # marks exactly the disconnected inputs
+    # the shapes are reference_classify's on decompose's blocks, and a
+    # note marks exactly the disconnected inputs
     expected = tuple(reference_classify(b) for b in decompose(g).cycle_blocks)
     shapes = getattr(d, "shapes", ())
     assert repr(shapes) == repr(expected)
-    _, rows, parent = recognition._cycle_blocks(g)
-    assert ([row_hub_paths(parent, chains, shape) for _, chains, shape in rows]
-            == [getattr(s, "chains", None) for s in expected])
     assert bool(d.notes) == (not is_connected(g))
 
 
@@ -403,18 +393,42 @@ def test_every_rejection_of_a_large_block_is_exact(g):
         assert_exact_pair(g, (d.witness_a, d.witness_b), d.witness_status)
 
 
-def test_theta_witnesses_from_hand_made_shape():
-    # the pair comes from the block's hub-to-hub paths, which are the
-    # chains of reference_classify's shape; a hand-made shape and
-    # decomposition, passed along, are ignored
-    g = book(1, 3, 2)
-    expected = reference_classify(single_block(g))
-    _, [(_, chains, shape)], parent = recognition._cycle_blocks(g)
-    assert row_hub_paths(parent, chains, shape) == expected.chains
-    pair = (recognition._theta_witness_pair(expected.chains), "exact")
+def test_every_small_rejection_is_exact():
+    # every labelled graph on <= 6 vertices; relabelling maps them onto
+    # themselves, so each block shape meets every search order
+    rejected = 0
+    for n in range(1, 7):
+        pool = list(combinations(range(n), 2))
+        for mask in range(1 << len(pool)):
+            g = build(n, [e for i, e in enumerate(pool) if mask >> i & 1])
+            d = decide(g, witnesses=True)
+            if isinstance(d, DistinctLengths):
+                rejected += 1
+                a, b = d.witness_a, d.witness_b
+                assert d.witness_status == "exact" and len(a) < len(b)
+                assert is_simple_cycle(g, a) and is_simple_cycle(g, b)
+    assert rejected == 23637
+
+
+@pytest.mark.parametrize("g, pair", [
+    # the first cycle's two arcs between the second chain's ends, with
+    # that chain, are three paths of lengths 2, 2, 3 (THETA) or 2, 1, 2
+    (THETA, ((0, 3, 1, 2), (0, 4, 5, 1, 2))),
+    (book(1, 3, 2), ((0, 1, 2), (0, 3, 1, 2))),
+    # B(2, 4, 3) and a page of length 3: the first three paths tie, and
+    # the long page's chain, hub to hub, breaks the book they start
+    (build(8, book(2, 4, 3).edges + ((0, 6), (6, 7), (7, 2))),
+     ((0, 3, 2, 1), (0, 3, 2, 7, 6))),
+], ids=["unequal-paths", "endpoints-adjacent", "book-then-long-page"])
+def test_two_hub_witnesses_replay_the_chains(g, pair):
+    # a misshapen two-hub block's pair comes from replaying its chains,
+    # as any misshapen block's; a hand-made shape and decomposition,
+    # passed along, are ignored
+    assert len(decompose(g).cycle_blocks) == 1
+    assert decide(g).shapes[0].reason != "degree-profile"
+    assert_exact_pair(g, pair, "exact")
     shapes = (OtherShape("endpoints-adjacent-structure"),)
-    assert extract_witnesses(g) == pair
-    assert extract_witnesses(g, shapes, decomposition=decompose(g)) == pair
+    assert extract_witnesses(g, shapes, decomposition=decompose(g)) == (pair, "exact")
 
 
 K4_C3 = wedge(complete(4), cycle(3))
