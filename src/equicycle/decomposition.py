@@ -113,8 +113,9 @@ def chain_decomposition(g):
                 if lo < least[b]:
                     least[b] = lo
             block.append(b)
-    below = [chains[0] != lo for lo, chains in zip(least, blocks)]
-    rows = sorted(zip(least, below, kids, range(len(blocks)), blocks))
+    rows = [(lo, chains[0] != lo, kid, b, chains)
+            for b, (lo, kid, chains) in enumerate(zip(least, kids, blocks))]
+    rows.sort()
     return roots, parent, chain, block, rows
 
 

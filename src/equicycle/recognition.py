@@ -137,13 +137,13 @@ def _cycle_blocks(g):
     list, along which a row's chains are walked."""
     component_count, parent, _, _, rows = chain_decomposition(g)
     return (component_count,
-            [(chains, _classify(parent, chains)) for *_, chains in rows],
+            [(row[4], _classify(parent, row[4])) for row in rows],
             parent)
 
 
 def _chain_pair_cycle(c1, c2):
     """Simple cycle from two hub-to-hub chains (shared endpoints only)."""
-    return tuple(c1[:-1] + list(reversed(c2[1:])))
+    return tuple(c1[:-1] + c2[:0:-1])
 
 
 def _block_cycle(parent, chains):
@@ -212,7 +212,8 @@ def _book_ear_pair(pages, ear):
 def _replay_witness_pair(parent, chains):
     """Two cycles of distinct lengths in a misshapen block, by replaying
     its chains.  The second chain joins two vertices of the first cycle:
-    with the cycle's two arcs, three paths between them; unequal lengths
+    with the cycle's two arcs, slices of its ring rotated once to start
+    at the chain's first end, three paths between them; unequal lengths
     give the pair.  Equal ones are the first pages of a book with those
     two vertices as hubs, which takes each later chain of page length
     between the hubs as a page.  Every chain joins two vertices already
@@ -221,11 +222,10 @@ def _replay_witness_pair(parent, chains):
     a path of another length."""
     ring = _chain(parent, *chains[:3])[:-1]
     ear = _chain(parent, *chains[4:7])
-    n = len(ring)
     i = ring.index(ear[0])
-    d = (ring.index(ear[-1]) - i) % n
-    first = [[ring[(i + m) % n] for m in range(d + 1)],
-             [ring[(i - m) % n] for m in range(n - d + 1)], ear]
+    ring = ring[i:] + ring[:i]
+    d = ring.index(ear[-1])
+    first = [ring[:d + 1], ring[:1] + ring[:d - 1:-1], ear]
     if len({len(p) for p in first}) > 1:
         return _theta_witness_pair(first)
     a, b = ear[0], ear[-1]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -396,18 +397,22 @@ def test_every_rejection_of_a_large_block_is_exact(g):
 def test_every_small_rejection_is_exact():
     # every labelled graph on <= 6 vertices; relabelling maps them onto
     # themselves, so each block shape meets every search order
-    rejected = 0
+    pairs = []
     for n in range(1, 7):
         pool = list(combinations(range(n), 2))
         for mask in range(1 << len(pool)):
             g = build(n, [e for i, e in enumerate(pool) if mask >> i & 1])
             d = decide(g, witnesses=True)
             if isinstance(d, DistinctLengths):
-                rejected += 1
                 a, b = d.witness_a, d.witness_b
                 assert d.witness_status == "exact" and len(a) < len(b)
                 assert is_simple_cycle(g, a) and is_simple_cycle(g, b)
-    assert rejected == 23637
+                pairs.append((a, b))
+    assert len(pairs) == 23637
+    # every pair, in sweep order, is pinned: a change that moves a pair on
+    # purpose updates this digest and names the moved pairs
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == "fbdbbffbb4a9927bd4493e3cacd654f532efe05552f6ee27b3af306bf3efabe5"
 
 
 @pytest.mark.parametrize("g, pair", [
@@ -419,7 +424,19 @@ def test_every_small_rejection_is_exact():
     # the long page's chain, hub to hub, breaks the book they start
     (build(8, book(2, 4, 3).edges + ((0, 6), (6, 7), (7, 2))),
      ((0, 3, 2, 1), (0, 3, 2, 7, 6))),
-], ids=["unequal-paths", "endpoints-adjacent", "book-then-long-page"])
+    # the arcs at their edges, as (first cycle, second chain): the chain's
+    # ends next on the cycle going forward, ([0, 2, 3, 1], [0, 4, 2]);
+    # going backward, from a later vertex, ([0, 4, 1, 2], [2, 3, 1]); and
+    # a forward arc that runs past the cycle's last vertex back to its
+    # first, ([0, 3, 2, 1], [1, 3])
+    (build(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (2, 4)]),
+     ((0, 2, 4), (0, 1, 3, 2, 4))),
+    (build(5, [(0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]),
+     ((2, 1, 3), (2, 0, 4, 1, 3))),
+    (build(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]),
+     ((1, 3, 0), (1, 2, 3, 0))),
+], ids=["unequal-paths", "endpoints-adjacent", "book-then-long-page",
+        "ends-next-forward", "ends-next-backward", "arc-wraps"])
 def test_two_hub_witnesses_replay_the_chains(g, pair):
     # a misshapen two-hub block's pair comes from replaying its chains,
     # as any misshapen block's; a hand-made shape and decomposition,
