@@ -13,7 +13,7 @@ arithmetic over (n, m, r); certify_graph checks that premise for a
 concrete graph.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadRangeError
 from .generators import book, cycle, path, wedge
@@ -23,8 +23,7 @@ RULE_WITH_R = "single-cycle-length edge bound for known r"
 RULE_ANY_R = "single-cycle-length edge bound 2n-4 (any r)"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Maximum edge count over n-vertex graphs whose cycle spectrum is
     {r} (r = None: maximum over all r, which is 2n-4), connected or not:
     a disconnected graph wedges into a connected one on fewer vertices.
@@ -39,8 +38,7 @@ class BoundReport:
     c: int | None = None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     n: int
     m: int
     r: int | None

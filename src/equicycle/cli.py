@@ -12,7 +12,6 @@ import functools
 import gc
 import json
 import sys
-from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from .decomposition import decompose
@@ -168,7 +167,7 @@ def _bound_lines(obj):
 
 
 def _cmd_certify(args):
-    _emit(args, asdict(bounds_mod.certify_distinct(args.n, args.m, args.r)), _certify_lines)
+    _emit(args, bounds_mod.certify_distinct(args.n, args.m, args.r)._asdict(), _certify_lines)
     return 0
 
 

@@ -17,11 +17,10 @@ then paths between vertices already on it.  No block's edge list is
 built on the way to a verdict, and each tree edge is walked once at most.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One cycle block as an induced-on-its-edges subgraph, in the
     parent graph's vertex ids."""
 
@@ -29,8 +28,7 @@ class Block:
     edges: tuple
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     bridges: tuple
     cut_vertices: tuple
     cycle_blocks: tuple

@@ -6,14 +6,13 @@ verifier for the structural decision procedure; neither the decision
 nor its witness cycles use this module.
 """
 
-from dataclasses import dataclass, field
 from itertools import count
+from typing import NamedTuple
 
 from .errors import BadParamsError, BudgetExceededError, OverBudgetError
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(NamedTuple):
     max_vertices: int = 14
     max_visited_states: int = 5_000_000
 
@@ -22,16 +21,15 @@ class SearchBudget:
             raise BadParamsError("budget fields must be positive")
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    """girth/circumference are None for acyclic graphs.  witnesses maps
-    each length to the lexicographically least vertex sequence realizing
-    a cycle of that length."""
+class CycleReport(NamedTuple):
+    """girth/circumference are None for acyclic graphs.  witnesses, a
+    required field, maps each length to the lexicographically least
+    vertex sequence realizing a cycle of that length."""
 
     girth: int | None
     circumference: int | None
     lengths: tuple
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
 
 def _cycles(adj, root, tick, max_states):

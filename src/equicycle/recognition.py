@@ -24,22 +24,20 @@ When every block is well-shaped, they come from two blocks of
 different r, each giving its first chain's cycle.
 """
 
-from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .decomposition import chain_decomposition
 from .errors import NotRejectedError
 
 
-@dataclass(frozen=True)
-class CycleShape:
+class CycleShape(NamedTuple):
     """Block is the plain cycle C_r."""
 
     r: int
 
 
-@dataclass(frozen=True)
-class BookShape:
+class BookShape(NamedTuple):
     """Block is B(k, 2k, p): p+1 disjoint length-k paths between two
     hubs; every cycle in it has length 2k."""
 
@@ -51,8 +49,7 @@ class BookShape:
         return 2 * self.k
 
 
-@dataclass(frozen=True)
-class OtherShape:
+class OtherShape(NamedTuple):
     """Block matches neither accepted shape; reason is one of
     degree-profile, unequal-path-lengths, endpoints-adjacent-structure.
     The classifier gives each reason as one module constant."""
@@ -67,15 +64,13 @@ _UNEQUAL_PATHS = OtherShape("unequal-path-lengths")
 _ENDPOINTS_ADJACENT = OtherShape("endpoints-adjacent-structure")
 
 
-@dataclass(frozen=True)
-class AllCyclesEqual:
+class AllCyclesEqual(NamedTuple):
     r: int
     shapes: tuple
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
-class DistinctLengths:
+class DistinctLengths(NamedTuple):
     """witness_status is 'exact' when two concrete cycles of distinct
     lengths are attached, which decide(g, witnesses=True) always does,
     and 'decision-only' when witnesses were not asked for."""
@@ -87,8 +82,7 @@ class DistinctLengths:
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
-class Acyclic:
+class Acyclic(NamedTuple):
     notes: tuple = ()
 
 
