@@ -71,8 +71,16 @@ def _shape(shape):
 
 
 def _cmd_check(args):
-    g = _load_graph(args.file)
-    decision = decide(g, witnesses=args.witness)
+    obj = _check_model(_load_graph(args.file), args.witness)
+    _emit(args, obj, _check_lines)  # the graph and the decision are freed by now
+    status = obj["status"]
+    return int(_EXPECT.get(args.expect, status) != status)
+
+
+def _check_model(g, witnesses):
+    """check's output model of g.  Built here, so that nothing but the
+    model is alive once it is returned for rendering."""
+    decision = decide(g, witnesses=witnesses)
     status = _STATUS[type(decision)]
     obj = {"status": status}
     if status == "all_cycles_equal":
@@ -87,8 +95,7 @@ def _cmd_check(args):
         }
     if decision.notes:
         obj["notes"] = list(decision.notes)
-    _emit(args, obj, _check_lines)
-    return int(_EXPECT.get(args.expect, status) != status)
+    return obj
 
 
 def _check_lines(obj):

@@ -9,10 +9,13 @@ Graph.__init__ is the only adjacency build; build and parse_edge_list
 check what it built by one rule, and only when that fails does one walk
 over the pairs find the first bad one.  Text of any layout is read in
 bounded chunks of whole lines; one byte-skeleton check per chunk sends
-serialize_edge_list's layout past the line loop.  The ids are mapped
-once into one dense list, in which every vertex has one int object.
+serialize_edge_list's layout to one json.loads, past the line loop.
+The ids are mapped once, through one table, into one dense list, in
+which every vertex has one int object; the list is freed as the build
+reads its last pair.
 """
 
+import json
 import sys
 from array import array
 from itertools import islice
@@ -26,6 +29,7 @@ from .errors import (
 )
 
 _CHUNK = 1 << 16  # characters per chunk of the reader, rounded up to whole lines
+_COMMAS = str.maketrans(" \n", ",,")  # a bulk chunk as the body of a JSON list
 
 
 class Graph:
@@ -129,29 +133,37 @@ def parse_edge_list(text):
     str.splitlines ends them.  An optional first significant line
     `vertices N` fixes the vertex count, in which case ids must be < N
     and are used directly.  Without the header, labels are collected
-    and remapped to dense ids.  ParseError names the first bad line; a
+    into one dict, which then maps each to its dense id in sorted order;
+    `labels` is None when they are already 0..n-1, or when there are
+    none.  The dense id list is held only by the build, so it is freed
+    with its last pair.  ParseError names the first bad line; a
     loop, duplicate or id >= N is looked for, by build's rule, once
     every line has been read, and is named by its input labels.
     """
     header, ids = _read(text)
     n, labels = header, None
     if header is None:
-        labels = sorted(set(ids))
+        table = dict.fromkeys(ids)  # each label once
+        labels = sorted(table)
         n = len(labels)
+        table.update(zip(labels, range(n)))  # the one int object of each vertex
+        if not labels or labels[-1] == n - 1:
+            labels = None  # the ids are already 0..n-1
     elif n > sys.maxsize:  # more vertices than a list can hold
         raise MemoryError
-    table = list(range(n))  # the one int object of each vertex
-    if not labels or labels[-1] == n - 1:
-        labels = None  # the ids are already 0..n-1
     else:
-        table = dict(zip(labels, table))  # its values are the same ints
+        table = list(range(n))  # the one int object of each vertex
     try:  # one pointer per id, where the array held 8 bytes
         ends = list(map(table.__getitem__, ids))
     except IndexError:  # an id >= N
         ends = None
     del ids, table  # before the build
-    g = None if ends is None else Graph(n, zip(*[iter(ends)] * 2), labels)
-    if g is None or not _simple(g.adjacency, len(ends)):
+    g = None
+    if ends is not None:
+        count = len(ends)
+        ends = zip(*[iter(ends)] * 2)  # the list's last holder, so it is freed with its last pair
+        g = Graph(n, ends, labels)
+    if g is None or not _simple(g.adjacency, count):
         # the walk reads input labels, so its errors name them; a header
         # is the first significant line
         ids = _read(text)[1]
@@ -178,25 +190,27 @@ def _read(text):
     """The header's N (None without one) and the ids of the edge lines,
     two to a line in order: one int64 array, or a list once an id is
     2**63 or more.  A chunk whose digits leave the skeleton of
-    serialize_edge_list's layout is split in one step, any other read
-    line by line.  Raises ParseError for the first bad line."""
+    serialize_edge_list's layout is read by one json.loads, its spaces
+    and newlines made commas, so no token strings are made; a chunk
+    JSON refuses (an id with a leading zero or past the int digit
+    limit, an empty id), and any other, is read line by line.  Raises
+    ParseError for the first bad line."""
     header = None
     ids = array("q")
     extend = ids.fromlist
     line_no = 0
     for chunk in _chunks(text):
-        tokens = chunk.split()
         values = None
         # less its digits the layout leaves " \n" per line, the last "\n"
-        # only where the chunk ends in one: then its 2k runs fill every gap
-        k = len(tokens) // 2
-        skeleton = b" \n" * k if chunk[-1] == "\n" else (b" \n" * k)[:-1]
-        if (2 * k == len(tokens) and chunk.isascii()
-                and chunk.encode().translate(None, b"0123456789") == skeleton):
+        # only where the chunk ends in one; the k lines before it are then
+        # a JSON list's body once their single spaces and newlines are commas
+        body = chunk[:-1] if chunk[-1] == "\n" else chunk
+        k = body.count("\n") + 1
+        if body.isascii() and body.encode().translate(None, b"0123456789") == (b" \n" * k)[:-1]:
             try:
-                values = list(map(int, tokens))
+                values = json.loads(f"[{body.translate(_COMMAS)}]")
                 line_no += k
-            except ValueError:  # beyond the digit limit: the lines below name the line
+            except ValueError:  # a leading zero, an empty id, past the digit limit
                 pass
         if values is None:
             values = []
@@ -230,7 +244,7 @@ def _read(text):
         except OverflowError:  # an id of 2**63 or more: the ids go on in a list
             ids = ids.tolist() + values
             extend = ids.extend
-        del tokens, values  # before the next chunk is split
+        del values  # before the next chunk is read
     return header, ids
 
 

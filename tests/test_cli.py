@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -325,6 +326,44 @@ def test_exit_code_contract_on_mutated_golden_files(tmp_path_factory, data):
         index = {label: v for v, label in enumerate(g.labels or range(g.vertex_count))}
         a, b = ([index[x] for x in c] for c in (obj["witness"]["cycle_a"], obj["witness"]["cycle_b"]))
         assert len(a) < len(b) and is_simple_cycle(g, a) and is_simple_cycle(g, b)
+
+
+def test_check_renders_after_the_graph_is_freed(tmp_path, monkeypatch, capsys):
+    """check --json calls json.dumps with the parsed graph and the
+    decision freed: the memory traced when rendering starts is below the
+    graph's own size.  The file has no header and 4,000 blocks, 5-cycles
+    in a chain, each sharing one vertex with the next (20,000 edges)."""
+    blocks, pairs = 4000, []
+    for b in range(blocks):
+        ring = list(range(4 * b, 4 * b + 5))
+        pairs += zip(ring, ring[1:] + ring[:1])
+    text = "".join(f"{10**9 + 7 * u} {10**9 + 7 * v}\n" for u, v in pairs)
+    f = tmp_path / "chain.edges"
+    f.write_text(text)
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        graph_size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 5 * blocks and g.labels
+    del g, text
+    at_render = []
+
+    def dumps(obj, **kwargs):
+        at_render.append(tracemalloc.get_traced_memory()[0])
+        return real_dumps(obj, **kwargs)
+
+    real_dumps = cli.json.dumps
+    monkeypatch.setattr(cli.json, "dumps", dumps)
+    tracemalloc.start()
+    try:
+        assert main(["check", str(f), "--json"]) == 0
+    finally:
+        tracemalloc.stop()
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["blocks"] == [{"shape": "cycle", "r": 5}] * blocks
+    assert len(at_render) == 1 and at_render[0] < graph_size
 
 
 def test_byte_identical_runs(bowtie_file, capsys):

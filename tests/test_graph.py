@@ -157,6 +157,18 @@ def test_parse_remaps_sparse_labels():
     assert g.labels == (10, 20, 40)
 
 
+@pytest.mark.parametrize("text, labels", [
+    ("", None),
+    ("# only a comment\n\n", None),
+    ("2 0\n1 2\n0 1\n", None),
+    ("5 7\n", (5, 7)),
+], ids=["empty", "comment-only", "labels-0-to-n-1", "sparse"])
+def test_label_table_edge_cases(text, labels):
+    # a header-less text keeps its ids, with no labels, when they are
+    # 0..n-1 or there are none; `()` would not compare equal to None
+    assert parse_edge_list(text).labels == labels
+
+
 def test_parse_comments_and_blanks():
     g = parse_edge_list("# triangle\n\nvertices 3\n0 1\n# middle\n1 2\n2 0\n")
     assert g == cycle(3)
