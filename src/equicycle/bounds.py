@@ -54,14 +54,10 @@ def max_edges(n, r):
         raise BadRangeError(f"cycle length {r} < 3")
     if n < r:
         raise BadRangeError(f"no cycle of length {r} fits in {n} vertices")
-    if r % 2 == 0:
-        half = r // 2
-        p = (n - half - 1) // (half - 1)
-        c = n - 2 - (half - 1) * (p + 1)
-        return BoundReport(n, r, n - 1 + p, p, c)
-    p = (n - 1) // (r - 1)
-    c = n - 1 - p * (r - 1)
-    return BoundReport(n, r, n - 1 + p, p, c)
+    # the vertices each further page (even r) or cycle (odd r) costs
+    s = r // 2 - 1 if r % 2 == 0 else r - 1
+    p = 1 + (n - r) // s
+    return BoundReport(n, r, n - 1 + p, p, n - r - (p - 1) * s)
 
 
 def max_edges_any_r(n):

@@ -50,9 +50,9 @@ def _load_graph(filename):
     with open(filename, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is data past any byte-order mark
+        raise ParseError(exc.object.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     del data  # parsing allocates most; the raw bytes need not stay alive for it
     return parse_edge_list(text)
 

@@ -11,10 +11,10 @@ is one chain.  In any other block the hubs are the ends of every chain
 but the first; with two hubs, the first cycle's arcs between them and
 the later chains are the hub-to-hub paths, whose lengths, read off the
 records and one walk up the tree, settle the shape; no path is built.
-This pass is the only way any caller gets block shapes: decide,
-extract_witnesses and bounds.certify_graph all read them from it, so
-every block carries the shape this one classifier gave it, which
-decides where its witnesses come from.
+The pass's invariant is read, never re-checked: a chain that closes no
+cycle ends at a strict descendant of its start.  decide is the only
+way any caller gets block shapes, so every block carries the shape
+this one classifier gave it, which decides where its witnesses come from.
 
 Every rejection is given two witness cycles of distinct lengths, in
 linear time and with no search budget.  They come from the first
@@ -24,7 +24,7 @@ When every block is well-shaped, they come from two blocks of
 different r, each giving its first chain's cycle.
 """
 
-from itertools import chain, islice
+from itertools import islice
 from typing import NamedTuple
 
 from .decomposition import chain_decomposition
@@ -98,8 +98,9 @@ def _chain(parent, v, w, x):
 def _classify(parent, chains):
     """Shape of a cycle block from its chains (chain_decomposition's
     flat records), read from their count, ends and lengths.  Only a
-    two-hub block walks the tree, once up its first cycle to measure
-    the arc between the hubs; no path is built."""
+    two-hub block walks the tree, once, from the second chain's end up
+    to its start: that is one arc of the first cycle between the hubs,
+    and no path is built."""
     if len(chains) == 4:
         return CycleShape(chains[3])
     # every chain but the first adds one to the degree of its two ends,
@@ -107,21 +108,15 @@ def _classify(parent, chains):
     a, b = chains[4:7:2]
     if not {a, b}.issuperset(islice(chains, 8, None, 2)):
         return _DEGREE_PROFILE
-    # both hubs lie on the first cycle's tree path, from its second
-    # vertex up to its top: the first met to the other is one arc, d long
-    y = chains[1]
-    while y != a and y != b:
-        y = parent[y]
-    d, other = 0, (b if y == a else a)
-    while y != other:
+    # a chain's end is a strict descendant of its start, and both hubs
+    # lie on the first cycle's tree path: b's walk up to a is one arc
+    y, d = b, 0
+    while y != a:
         y, d = parent[y], d + 1
     lens = {d, chains[3] - d, *chains[7::4]}
     if len(lens) > 1:
         return _ENDPOINTS_ADJACENT if 1 in lens else _UNEQUAL_PATHS
-    # equal lengths with d = 1 would need parallel edges; unreachable in
-    # a simple graph, kept as a guard
-    if d < 2:
-        return _ENDPOINTS_ADJACENT
+    # one length d = 1 would make the first cycle 2 long: d >= 2 here
     return BookShape(d, len(chains) // 4)
 
 
@@ -160,12 +155,11 @@ def _theta_witness_pair(paths):
 
 def _shorter_first(cycles):
     """The first of cycles and the first one of another length, shorter
-    first; None if all have one length."""
+    first; every caller passes cycles of two lengths."""
     a = cycles[0]
     for b in cycles[1:]:
         if len(b) != len(a):
             return (tuple(a), tuple(b)) if len(a) < len(b) else (tuple(b), tuple(a))
-    return None
 
 
 def _book_ear_pair(pages, ear):
@@ -208,37 +202,26 @@ def _replay_witness_pair(parent, chains):
     its chains.  The second chain joins two vertices of the first cycle:
     with the cycle's two arcs, slices of its ring rotated once to start
     at the chain's first end, three paths between them; unequal lengths
-    give the pair.  Equal ones are the first pages of a book with those
-    two vertices as hubs, which takes each later chain of page length
-    between the hubs as a page.  Every chain joins two vertices already
-    on the book, and the block is no book, so the first other chain is
-    an ear that breaks it; in a two-hub block that ear runs hub to hub,
-    a path of another length."""
+    give the pair.  Equal ones, all three from its start a to its end b,
+    are the first pages of a book, which takes each later chain of page
+    length from a to b as a page: a chain's start is an ancestor of its
+    end, so none runs from b to a.  Every chain joins two vertices
+    already on the book, and the block is no book, so the first other
+    chain is an ear that breaks it."""
     ring = _chain(parent, *chains[:3])[:-1]
     ear = _chain(parent, *chains[4:7])
     i = ring.index(ear[0])
     ring = ring[i:] + ring[:i]
     d = ring.index(ear[-1])
-    first = [ring[:d + 1], ring[:1] + ring[:d - 1:-1], ear]
-    if len({len(p) for p in first}) > 1:
-        return _theta_witness_pair(first)
-    a, b = ear[0], ear[-1]
-    k = len(ear) - 1
-    pages = []
-    later = (_chain(parent, *chains[q:q + 3]) for q in range(8, len(chains), 4))
-    for ear in chain(first, later):
-        if len(ear) != k + 1 or {ear[0], ear[-1]} != {a, b}:
+    pages = [ring[:d + 1], ring[:1] + ring[:d - 1:-1], ear]
+    if len({len(p) for p in pages}) > 1:
+        return _theta_witness_pair(pages)
+    a, b, k = ear[0], ear[-1], len(ear) - 1
+    for q in range(8, len(chains), 4):
+        ear = _chain(parent, *chains[q:q + 3])
+        if len(ear) != k + 1 or ear[0] != a or ear[-1] != b:
             return _book_ear_pair(pages, ear)
-        if ear[0] != a:
-            ear.reverse()
         pages.append(ear)
-    return None  # unreachable: a misshapen block is no book
-
-
-def _common_r(shapes):
-    """The cycle length r that every shape has, or None."""
-    rs = {s.r for s in shapes}
-    return rs.pop() if len(rs) == 1 else None
 
 
 def _witness_pair(parent, blocks):
@@ -263,7 +246,8 @@ def decide(g, witnesses=False, decomposition=None):
     enumerates cycles: one pass, a depth-first search and its chain
     decomposition, gives each block as its chains, and each block is
     classified from their count, ends and lengths; only a two-hub block
-    walks the tree, once up its first cycle between its hubs.
+    walks the tree, once from one hub up to the other.  A misshapen
+    block has r None, so it always rejects.
     decomposition is ignored: the blocks are always this pass's own.  It
     is still accepted because the benchmark harness's traced pipeline
     (bench/measure.py) passes decompose(g); it goes with that caller.
@@ -282,9 +266,9 @@ def decide(g, witnesses=False, decomposition=None):
     if not blocks:
         return Acyclic(notes)
     shapes = tuple([shape for _, shape in blocks])
-    r = _common_r(shapes)
-    if r is not None:
-        return AllCyclesEqual(r, shapes, notes)
+    rs = {shape.r for shape in shapes}  # {None} if every block is misshapen
+    if len(rs) == 1 and None not in rs:
+        return AllCyclesEqual(rs.pop(), shapes, notes)
     if not witnesses:
         return DistinctLengths(None, None, "decision-only", shapes, notes)
     return DistinctLengths(*_witness_pair(parent, blocks), "exact", shapes, notes)
@@ -293,15 +277,15 @@ def decide(g, witnesses=False, decomposition=None):
 def extract_witnesses(g, shapes=None, decomposition=None):
     """Two simple cycles of distinct lengths for a rejected graph.
 
-    Returns ((cycle_a, cycle_b), 'exact'), the shorter cycle first, the
-    same pair as decide(g, witnesses=True).  Raises NotRejectedError
-    when the graph is accepted or acyclic.  shapes and decomposition
-    are ignored: the blocks are always classified here, by decide's one
-    pass.  They are still accepted because the benchmark harness's
-    traced pipeline (bench/measure.py) passes decide(g).shapes and
-    decompose(g); they go with that caller.
+    This is decide(g, witnesses=True): it returns that result's pair,
+    shorter cycle first, as ((cycle_a, cycle_b), 'exact'), and raises
+    NotRejectedError when decide accepts the graph or calls it acyclic.
+    shapes and decomposition are ignored: the blocks are always
+    decide's own.  They are still accepted because the benchmark
+    harness's traced pipeline (bench/measure.py) passes decide(g).shapes
+    and decompose(g); they go with that caller.
     """
-    _, blocks, parent = _cycle_blocks(g)
-    if not blocks or _common_r([shape for _, shape in blocks]) is not None:
+    d = decide(g, witnesses=True)
+    if not isinstance(d, DistinctLengths):
         raise NotRejectedError("graph does not contain two distinct cycle lengths")
-    return _witness_pair(parent, blocks), "exact"
+    return (d.witness_a, d.witness_b), "exact"

@@ -5,8 +5,9 @@ brute.bound_search(8), the search behind criterion 7, visits every
 prunes every extension of them by one edge that adds a second length
 (5,304,333).  decide must accept each
 visited graph with its one length r, or call it acyclic, and reject
-each pruned extension.  It takes about 5 minutes, so it is not a
-tier-1 test; CI runs it as a step of its own:
+each pruned extension with a witness pair: two simple cycles of the
+extension, the first shorter.  It takes about 5 minutes, so it is not
+a tier-1 test; CI runs it as a step of its own:
 
     PYTHONPATH=src python tests/acceptance_n8.py
 
@@ -19,7 +20,7 @@ import sys
 from equicycle import Acyclic, AllCyclesEqual, DistinctLengths, decide
 from equicycle.graph import Graph
 
-from brute import bound_search
+from brute import bound_search, is_simple_cycle
 
 N = 8
 VISITED, PRUNED = 3_904_143, 5_304_333
@@ -37,9 +38,11 @@ def main():
 
     def pruned(edges, e):
         counts[1] += 1
-        d = decide(Graph(N, edges + [e]))
-        if not isinstance(d, DistinctLengths):
-            wrong.append((tuple(edges) + (e,), "distinct", type(d).__name__))
+        g = Graph(N, edges + [e])
+        d = decide(g, witnesses=True)
+        if not (isinstance(d, DistinctLengths) and len(d.witness_a) < len(d.witness_b)
+                and is_simple_cycle(g, d.witness_a) and is_simple_cycle(g, d.witness_b)):
+            wrong.append((tuple(edges) + (e,), "distinct", d))
 
     bound_search(N, visit, pruned)
     print(f"n = {N}: {counts[0]} graphs visited, {counts[1]} extensions pruned, "

@@ -512,8 +512,9 @@ def ear_decomposition_edges(parent, chains):
     """The sorted edges of a block's chains (a _cycle_blocks row's flat
     records, walked along the depth-first parent list), after checking
     that they are an ear decomposition: a cycle, then paths whose ends,
-    and only those, lie on earlier chains, each of its recorded
-    length."""
+    and only those, lie on earlier chains, each of its recorded length
+    and each ending at a descendant of its start, the invariant that
+    recognition reads without checking."""
     seen = set()
     edges = []
     for q in range(0, len(chains), 4):
@@ -525,6 +526,10 @@ def ear_decomposition_edges(parent, chains):
             assert path[0] == path[-1] and len(inner) >= 3
         else:
             assert path[0] != path[-1] and seen.issuperset((path[0], path[-1]))
+            y = path[-1]
+            while y != path[0] and parent[y] != y:
+                y = parent[y]
+            assert y == path[0]
         seen.update(path)
         edges += [(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])]
     return tuple(sorted(edges))

@@ -206,11 +206,29 @@ def test_parse_error_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("verb", [["check"], ["decompose"], ["oracle"], ["gen", "wedge"]])
 def test_non_utf8_input_exit_2(tmp_path, capsys, verb):
+    # a byte-order mark before the text leaves the line count as it is
     f = tmp_path / "latin1.edges"
-    f.write_bytes(b"0 1\n\xff 2\n")
-    assert main([*verb, str(f)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: line 2: not UTF-8 text\n" and captured.out == ""
+    for mark in (b"", b"\xef\xbb\xbf"):
+        f.write_bytes(mark + b"0 1\n\xff 2\n")
+        assert main([*verb, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: not UTF-8 text\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["c20_two_chords.edges", "labelled_c3_bridge_c4.edges",
+                                  "labelled_theta.edges"])
+@pytest.mark.parametrize("verb", [["check", "--witness"], ["decompose"]])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, name, verb):
+    # a UTF-8 byte-order mark before a header, an edge line or a comment
+    # changes nothing in the output
+    plain = GOLDEN / name
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = []
+    for f in (plain, marked):
+        assert main([verb[0], str(f), *verb[1:]]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].out and not outs[0].err
 
 
 def test_huge_header_exit_2_under_memory_cap(tmp_path):
