@@ -104,7 +104,7 @@ def _first_fault(n, pairs):
         seen.add(e)
 
 
-def build(vertex_count, edge_pairs, labels=None):
+def build(vertex_count, edge_pairs):
     """Validate and construct a Graph from explicit edge pairs.
 
     The pairs must make a simple graph: ends in range(vertex_count), no
@@ -116,7 +116,7 @@ def build(vertex_count, edge_pairs, labels=None):
         raise TooSmallError(f"negative vertex count {vertex_count}")
     pairs = list(edge_pairs)  # walked again when the rule fails
     try:
-        g = Graph(vertex_count, pairs, labels)
+        g = Graph(vertex_count, pairs)
     except IndexError:  # an end >= vertex_count, or < -vertex_count
         g = None
     # an end in -vertex_count..-1 indexes a list, and is then first in some tuple

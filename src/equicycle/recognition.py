@@ -12,9 +12,9 @@ but the first; with two hubs, the first cycle's arcs between them and
 the later chains are the hub-to-hub paths, whose lengths, read off the
 records and one walk up the tree, settle the shape; no path is built.
 The pass's invariant is read, never re-checked: a chain that closes no
-cycle ends at a strict descendant of its start.  decide is the only
-way any caller gets block shapes, so every block carries the shape
-this one classifier gave it, which decides where its witnesses come from.
+cycle ends at a strict descendant of its start.  decide, the only
+source of block shapes, gives each of the pass's rows one; the list of
+their r, None when misshapen, decides and picks the witnesses' rows.
 
 Every rejection is given two witness cycles of distinct lengths, in
 linear time and with no search budget.  They come from the first
@@ -120,16 +120,6 @@ def _classify(parent, chains):
     return BookShape(d, len(chains) // 4)
 
 
-def _cycle_blocks(g):
-    """The component count; each cycle block as a row (chains, shape),
-    in chain_decomposition's order; and the depth-first forest's parent
-    list, along which a row's chains are walked."""
-    component_count, parent, _, _, rows = chain_decomposition(g)
-    return (component_count,
-            [(row[4], _classify(parent, row[4])) for row in rows],
-            parent)
-
-
 def _chain_pair_cycle(c1, c2):
     """Simple cycle from two hub-to-hub chains (shared endpoints only)."""
     return tuple(c1[:-1] + c2[:0:-1])
@@ -224,17 +214,16 @@ def _replay_witness_pair(parent, chains):
         pages.append(ear)
 
 
-def _witness_pair(parent, blocks):
+def _witness_pair(parent, rows, rs):
     """Two simple cycles of distinct lengths, shorter first, from the
-    _cycle_blocks rows of a rejected graph: the first misshapen block's
-    replayed chains, or else one cycle each from the first block of the
-    least r and the first of the greatest."""
+    chain_decomposition rows of a rejected graph and each row's r (None
+    for a misshapen block): the first misshapen block's replayed chains,
+    or else one cycle each from the first block of the least r and the
+    first of the greatest."""
     # a single misshapen block always contains both lengths
-    for chains, shape in blocks:
-        if shape.r is None:
-            return _replay_witness_pair(parent, chains)
-    rs = [shape.r for _, shape in blocks]
-    return tuple(_block_cycle(parent, blocks[rs.index(r)][0]) for r in (min(rs), max(rs)))
+    if None in rs:
+        return _replay_witness_pair(parent, rows[rs.index(None)][4])
+    return tuple(_block_cycle(parent, rows[rs.index(r)][4]) for r in (min(rs), max(rs)))
 
 
 def decide(g, witnesses=False, decomposition=None):
@@ -246,8 +235,8 @@ def decide(g, witnesses=False, decomposition=None):
     enumerates cycles: one pass, a depth-first search and its chain
     decomposition, gives each block as its chains, and each block is
     classified from their count, ends and lengths; only a two-hub block
-    walks the tree, once from one hub up to the other.  A misshapen
-    block has r None, so it always rejects.
+    walks the tree, once from one hub up to the other.  One list holds
+    the blocks' r, None for a misshapen block: one int r in all accepts.
     decomposition is ignored: the blocks are always this pass's own.  It
     is still accepted because the benchmark harness's traced pipeline
     (bench/measure.py) passes decompose(g); it goes with that caller.
@@ -257,21 +246,21 @@ def decide(g, witnesses=False, decomposition=None):
     witnesses the status is 'decision-only').  The pair costs linear
     time and no budget: it comes from the first misshapen block, by
     replaying its chains, or else from the first chains of two blocks
-    of different r.
+    of different r, both found in that list.
     """
-    component_count, blocks, parent = _cycle_blocks(g)
+    component_count, parent, _, _, rows = chain_decomposition(g)
     notes = ()
     if component_count > 1:
         notes = ("input is disconnected; decided over all components",)
-    if not blocks:
+    if not rows:
         return Acyclic(notes)
-    shapes = tuple([shape for _, shape in blocks])
-    rs = {shape.r for shape in shapes}  # {None} if every block is misshapen
-    if len(rs) == 1 and None not in rs:
-        return AllCyclesEqual(rs.pop(), shapes, notes)
+    shapes = tuple([_classify(parent, row[4]) for row in rows])
+    rs = [shape.r for shape in shapes]  # None for a misshapen block
+    if rs[0] is not None and rs.count(rs[0]) == len(rs):
+        return AllCyclesEqual(rs[0], shapes, notes)
     if not witnesses:
         return DistinctLengths(None, None, "decision-only", shapes, notes)
-    return DistinctLengths(*_witness_pair(parent, blocks), "exact", shapes, notes)
+    return DistinctLengths(*_witness_pair(parent, rows, rs), "exact", shapes, notes)
 
 
 def extract_witnesses(g, shapes=None, decomposition=None):

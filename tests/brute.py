@@ -509,8 +509,8 @@ def reference_chains(g):
 
 
 def ear_decomposition_edges(parent, chains):
-    """The sorted edges of a block's chains (a _cycle_blocks row's flat
-    records, walked along the depth-first parent list), after checking
+    """The sorted edges of a block's chains (a chain_decomposition row's
+    flat records, walked along the depth-first parent list), after checking
     that they are an ear decomposition: a cycle, then paths whose ends,
     and only those, lie on earlier chains, each of its recorded length
     and each ending at a descendant of its start, the invariant that
@@ -535,7 +535,7 @@ def ear_decomposition_edges(parent, chains):
     return tuple(sorted(edges))
 
 
-def reference_build(vertex_count, edge_pairs, labels=None):
+def reference_build(vertex_count, edge_pairs):
     """The library's earlier build, one seen-set loop over the pairs:
     same graph and first error, kept as the reference for build's one
     rule and first-fault walk."""
@@ -553,7 +553,7 @@ def reference_build(vertex_count, edge_pairs, labels=None):
             raise DuplicateEdgeError(u, v)
         seen.add(e)
         edges.append(e)
-    return Graph(vertex_count, edges, labels)
+    return Graph(vertex_count, edges)
 
 
 def reference_parse_edge_list(text):

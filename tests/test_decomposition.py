@@ -9,12 +9,12 @@ from equicycle import (
     build,
     cycle,
     cycle_spectrum,
+    decide,
     decompose,
     path,
     wedge,
 )
 
-from equicycle import recognition
 from equicycle.decomposition import chain_decomposition
 from equicycle.graph import Graph
 
@@ -175,7 +175,7 @@ def assert_matches_reference(g):
     """chain_decomposition(g) is reference_chains(g), the two-scan pass,
     chain order included; decompose(g) is reference_blocks(g),
     Hopcroft-Tarjan's, blocks in the same order; the pass's rows have
-    those blocks' least vertices, decide's rows reference_classify's
+    those blocks' least vertices, decide's shapes are reference_classify's
     shapes and reasons, and each row's chains are an ear decomposition
     of its block's edges.  True when two blocks share their least
     vertex."""
@@ -183,13 +183,14 @@ def assert_matches_reference(g):
     assert records == reference_chains(g)
     expected = reference_blocks(g)
     assert decompose(g) == expected
-    count, rows, parent = recognition._cycle_blocks(g)
-    assert count == expected.component_count and len(rows) == len(expected.cycle_blocks)
-    for (least, *_), (chains, shape), block in zip(records[4], rows, expected.cycle_blocks):
+    count, parent, _, _, rows = records
+    shapes = getattr(decide(g), "shapes", ())
+    assert count == expected.component_count and len(rows) == len(shapes) == len(expected.cycle_blocks)
+    for (least, *_, chains), shape, block in zip(rows, shapes, expected.cycle_blocks):
         assert least == block.vertices[0]
         assert repr(shape) == repr(reference_classify(block))
         assert ear_decomposition_edges(parent, chains) == block.edges
-    leasts = [least for least, *_ in records[4]]
+    leasts = [least for least, *_ in rows]
     return len(set(leasts)) < len(leasts)
 
 

@@ -87,6 +87,8 @@ def test_book_bad_params():
         book(0, 3, 2)
     with pytest.raises(BadParamsError):
         book(1, 2, 2)
+    with pytest.raises(BadParamsError):
+        book(2, 4, 0)  # no page
 
 
 def test_wedge_bowtie():
