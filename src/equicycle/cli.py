@@ -1,16 +1,18 @@
 """Command-line front end.
 
 One verb per subsystem: check, decompose, oracle, bound, certify, gen.
-Each verb except gen builds one dict: --json emits it as a single
-compact object on stdout, and text mode formats its lines from it.
-Output is stable across runs.  Exit codes: 0 success, 1 domain
-rejection (failed --expect), 2 usage or input errors.
+Each verb except gen builds one dict, and one runner prints it: --json
+as a single compact object on stdout, text mode as lines formatted from
+it.  Output is stable across runs.  Exit codes: 0 success, 1 domain
+rejection (failed --expect), 2 usage or input errors; a reader that
+closes stdout early changes none of them.
 """
 
 import argparse
 import functools
 import gc
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -37,13 +39,26 @@ _GEN = {
 }
 
 
-def _emit(args, obj, lines):
-    """Print a verb's output model obj as JSON, or as lines(obj)."""
+def _write(chunks, code):
+    """Write chunks to stdout and return code.  Once the reader has closed
+    stdout, the rest goes to the null device, silently, even at exit."""
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
+def _run(args):
+    """Every verb but gen: print the dict args.model(args) builds as
+    JSON, or as its text lines; exit 1 only when check's --expect fails."""
+    obj = args.model(args)  # nothing but the model is alive while it renders
+    status = obj.get("status")
+    code = int(_EXPECT.get(args.expect, status) != status)
     if args.json:
-        print(json.dumps(obj, separators=(",", ":")))
-    else:
-        for line in lines(obj):
-            print(line)
+        return _write((json.dumps(obj, separators=(",", ":")), "\n"), code)
+    return _write(map("{}\n".format, args.lines(obj)), code)
 
 
 def _load_graph(filename):
@@ -70,17 +85,10 @@ def _shape(shape):
     return {"shape": "other", "reason": shape.reason}
 
 
-def _cmd_check(args):
-    obj = _check_model(_load_graph(args.file), args.witness)
-    _emit(args, obj, _check_lines)  # the graph and the decision are freed by now
-    status = obj["status"]
-    return int(_EXPECT.get(args.expect, status) != status)
-
-
-def _check_model(g, witnesses):
-    """check's output model of g.  Built here, so that nothing but the
-    model is alive once it is returned for rendering."""
-    decision = decide(g, witnesses=witnesses)
+def _check(args):
+    """check's output model; the graph and the decision die with its locals."""
+    g = _load_graph(args.file)
+    decision = decide(g, witnesses=args.witness)
     status = _STATUS[type(decision)]
     obj = {"status": status}
     if status == "all_cycles_equal":
@@ -112,10 +120,10 @@ def _check_lines(obj):
         yield f"note: {note}"
 
 
-def _cmd_decompose(args):
+def _decompose(args):
     g = _load_graph(args.file)
     d = decompose(g)
-    obj = {
+    return {
         "bridges": [_named(g, e) for e in d.bridges],
         "cut_vertices": _named(g, d.cut_vertices),
         "blocks": [
@@ -123,8 +131,6 @@ def _cmd_decompose(args):
             for b in d.cycle_blocks
         ],
     }
-    _emit(args, obj, _decompose_lines)
-    return 0
 
 
 def _decompose_lines(obj):
@@ -134,17 +140,15 @@ def _decompose_lines(obj):
         yield f"block {i}: vertices {' '.join(map(str, b['vertices']))}"
 
 
-def _cmd_oracle(args):
+def _oracle(args):
     g = _load_graph(args.file)
     report = cycle_spectrum(g, SearchBudget(max_vertices=args.max_vertices))
-    obj = {
+    return {
         "girth": report.girth,
         "circumference": report.circumference,
         "lengths": list(report.lengths),
         "witnesses": {str(k): _named(g, report.witnesses[k]) for k in report.lengths},
     }
-    _emit(args, obj, _oracle_lines)
-    return 0
 
 
 def _oracle_lines(obj):
@@ -156,14 +160,11 @@ def _oracle_lines(obj):
     yield "lengths: " + " ".join(map(str, obj["lengths"]))
 
 
-def _cmd_bound(args):
-    if args.r is None:
-        rep = bounds_mod.max_edges_any_r(args.n)
-    else:
-        rep = bounds_mod.max_edges(args.n, args.r)
+def _bound(args):
+    n, r = args.n, args.r
+    rep = bounds_mod.max_edges_any_r(n) if r is None else bounds_mod.max_edges(n, r)
     extremal = None if rep.r is None else {"p": rep.p, "c": rep.c}
-    _emit(args, {"n": rep.n, "r": rep.r, "bound": rep.bound, "extremal": extremal}, _bound_lines)
-    return 0
+    return {"n": rep.n, "r": rep.r, "bound": rep.bound, "extremal": extremal}
 
 
 def _bound_lines(obj):
@@ -173,9 +174,8 @@ def _bound_lines(obj):
         yield "bound for r={r}: {bound} (p={p}, c={c})".format(**obj, **obj["extremal"])
 
 
-def _cmd_certify(args):
-    _emit(args, bounds_mod.certify_distinct(args.n, args.m, args.r)._asdict(), _certify_lines)
-    return 0
+def _certify(args):
+    return bounds_mod.certify_distinct(args.n, args.m, args.r)._asdict()
 
 
 def _certify_lines(obj):
@@ -193,11 +193,10 @@ def _cmd_gen(args):
         names, make = _GEN[args.family]
         g = make(*(getattr(args, name) for name in names))
     text = serialize_edge_list(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not args.output:
+        return _write((text,), 0)
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return 0
 
 
@@ -215,37 +214,29 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="run the decision procedure on an edge list")
-    p.add_argument("file")
+    def verb(name, help, model, lines, file=True):
+        p = sub.add_parser(name, help=help)
+        if file:
+            p.add_argument("file")
+        p.set_defaults(func=_run, model=model, lines=lines, expect=None)
+        return p
+
+    p = verb("check", "run the decision procedure on an edge list", _check, _check_lines)
     p.add_argument("--expect", choices=["equal", "distinct"])
     p.add_argument("--witness", action="store_true",
                    help="attach two cycles of distinct lengths on rejection")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("decompose", help="bridges, cut vertices and cycle blocks")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("oracle", help="exhaustive cycle spectrum")
-    p.add_argument("file")
+    verb("decompose", "bridges, cut vertices and cycle blocks", _decompose, _decompose_lines)
+    p = verb("oracle", "exhaustive cycle spectrum", _oracle, _oracle_lines)
     p.add_argument("--max-vertices", type=_positive_int, default=14)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("bound", help="edge bound for equal cycle lengths")
+    p = verb("bound", "edge bound for equal cycle lengths", _bound, _bound_lines, file=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("certify", help="distinct-cycle-lengths certificate")
+    p = verb("certify", "distinct-cycle-lengths certificate", _certify, _certify_lines, file=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_certify)
+    for p in sub.choices.values():  # the verbs so far; each lists --json after its own options
+        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gen", help="generate a named graph as an edge list")
     gsub = p.add_subparsers(dest="family", required=True)

@@ -24,7 +24,8 @@ class SearchBudget(NamedTuple):
 class CycleReport(NamedTuple):
     """girth/circumference are None for acyclic graphs.  witnesses, a
     required field, maps each length to the lexicographically least
-    vertex sequence realizing a cycle of that length."""
+    vertex sequence realizing a cycle of that length: the first one the
+    search yields, because Graph keeps each neighbour tuple sorted."""
 
     girth: int | None
     circumference: int | None
@@ -66,8 +67,9 @@ def cycle_spectrum(g, budget=None):
 
     Cycles are deduplicated by rooting each at its least vertex and
     fixing orientation toward the smaller of the two neighbors on the
-    cycle; the retained witness per length is the lexicographically
-    least one.  Deterministic.
+    cycle; the retained witness per length is the first one found.
+    Graph's neighbour tuples are sorted, so the search yields cycles in
+    lexicographic order and that first one is the least.  Deterministic.
     """
     if budget is None:
         budget = SearchBudget()
@@ -79,9 +81,7 @@ def cycle_spectrum(g, budget=None):
     witnesses = {}
     for root in range(n):
         for w in _cycles(g.adjacency, root, tick, budget.max_visited_states):
-            k = len(w)
-            if k not in witnesses or w < witnesses[k]:
-                witnesses[k] = w
+            witnesses.setdefault(len(w), w)
 
     lengths = tuple(sorted(witnesses))
     return CycleReport(

@@ -71,15 +71,18 @@ class AllCyclesEqual(NamedTuple):
 
 
 class DistinctLengths(NamedTuple):
-    """witness_status is 'exact' when two concrete cycles of distinct
-    lengths are attached, which decide(g, witnesses=True) always does,
-    and 'decision-only' when witnesses were not asked for."""
+    """witness_a and witness_b are two cycles of distinct lengths,
+    shorter first, which decide(g, witnesses=True) always attaches, or
+    None when witnesses were not asked for."""
 
     witness_a: tuple | None = None
     witness_b: tuple | None = None
-    witness_status: str = "decision-only"
     shapes: tuple = ()
     notes: tuple = ()
+
+    @property
+    def witness_status(self):  # derived from the pair, never stored
+        return "decision-only" if self.witness_a is None else "exact"
 
 
 class Acyclic(NamedTuple):
@@ -120,11 +123,6 @@ def _classify(parent, chains):
     return BookShape(d, len(chains) // 4)
 
 
-def _chain_pair_cycle(c1, c2):
-    """Simple cycle from two hub-to-hub chains (shared endpoints only)."""
-    return tuple(c1[:-1] + c2[:0:-1])
-
-
 def _block_cycle(parent, chains):
     """A cycle of a well-shaped block: its first chain, one way round
     from its least vertex, towards that vertex's smaller neighbour.  A
@@ -136,16 +134,10 @@ def _block_cycle(parent, chains):
     return tuple(ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1])
 
 
-def _theta_witness_pair(paths):
-    """Two cycles of distinct lengths from three internally disjoint
-    paths between two vertices, not all of one length."""
-    shortest, middle, longest = sorted(paths, key=len)
-    return _chain_pair_cycle(shortest, middle), _chain_pair_cycle(longest, middle)
-
-
 def _shorter_first(cycles):
-    """The first of cycles and the first one of another length, shorter
-    first; every caller passes cycles of two lengths."""
+    """The one rule that orders a witness pair: the first of cycles and
+    the first one of another length, shorter first, as tuples; every
+    caller passes cycles of two lengths."""
     a = cycles[0]
     for b in cycles[1:]:
         if len(b) != len(a):
@@ -192,12 +184,13 @@ def _replay_witness_pair(parent, chains):
     its chains.  The second chain joins two vertices of the first cycle:
     with the cycle's two arcs, slices of its ring rotated once to start
     at the chain's first end, three paths between them; unequal lengths
-    give the pair.  Equal ones, all three from its start a to its end b,
-    are the first pages of a book, which takes each later chain of page
-    length from a to b as a page: a chain's start is an ancestor of its
-    end, so none runs from b to a.  Every chain joins two vertices
-    already on the book, and the block is no book, so the first other
-    chain is an ear that breaks it."""
+    give the pair, as the shortest and the longest path each close a
+    cycle with the middle one.  Equal ones, all three from its start a
+    to its end b, are the first pages of a book, which takes each later
+    chain of page length from a to b as a page: a chain's start is an
+    ancestor of its end, so none runs from b to a.  Every chain joins
+    two vertices already on the book, and the block is no book, so the
+    first other chain is an ear that breaks it."""
     ring = _chain(parent, *chains[:3])[:-1]
     ear = _chain(parent, *chains[4:7])
     i = ring.index(ear[0])
@@ -205,7 +198,9 @@ def _replay_witness_pair(parent, chains):
     d = ring.index(ear[-1])
     pages = [ring[:d + 1], ring[:1] + ring[:d - 1:-1], ear]
     if len({len(p) for p in pages}) > 1:
-        return _theta_witness_pair(pages)
+        shortest, middle, longest = sorted(pages, key=len)
+        back = middle[:0:-1]
+        return _shorter_first([shortest[:-1] + back, longest[:-1] + back])
     a, b, k = ear[0], ear[-1], len(ear) - 1
     for q in range(8, len(chains), 4):
         ear = _chain(parent, *chains[q:q + 3])
@@ -242,11 +237,11 @@ def decide(g, witnesses=False, decomposition=None):
     (bench/measure.py) passes decompose(g); it goes with that caller.
 
     Pass witnesses=True to also attach a pair of cycles of distinct
-    lengths, shorter first, to every rejection (status 'exact'; without
-    witnesses the status is 'decision-only').  The pair costs linear
-    time and no budget: it comes from the first misshapen block, by
-    replaying its chains, or else from the first chains of two blocks
-    of different r, both found in that list.
+    lengths, shorter first, to every rejection; its witness_status, read
+    off the pair, is then 'exact', and else 'decision-only'.  The pair
+    costs linear time and no budget: it comes from the first misshapen
+    block, by replaying its chains, or else from the first chains of two
+    blocks of different r, both found in that list.
     """
     component_count, parent, _, _, rows = chain_decomposition(g)
     notes = ()
@@ -259,8 +254,8 @@ def decide(g, witnesses=False, decomposition=None):
     if rs[0] is not None and rs.count(rs[0]) == len(rs):
         return AllCyclesEqual(rs[0], shapes, notes)
     if not witnesses:
-        return DistinctLengths(None, None, "decision-only", shapes, notes)
-    return DistinctLengths(*_witness_pair(parent, rows, rs), "exact", shapes, notes)
+        return DistinctLengths(None, None, shapes, notes)
+    return DistinctLengths(*_witness_pair(parent, rows, rs), shapes, notes)
 
 
 def extract_witnesses(g, shapes=None, decomposition=None):
@@ -277,4 +272,4 @@ def extract_witnesses(g, shapes=None, decomposition=None):
     d = decide(g, witnesses=True)
     if not isinstance(d, DistinctLengths):
         raise NotRejectedError("graph does not contain two distinct cycle lengths")
-    return (d.witness_a, d.witness_b), "exact"
+    return (d.witness_a, d.witness_b), d.witness_status

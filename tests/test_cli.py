@@ -264,6 +264,49 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "k4.edges", "--expect", "equal"],
+    ["oracle", "k4.edges", "--expect", "equal"],
+    ["bound", "--n", "9", "--expect", "equal"],
+    ["certify", "--n", "9", "--m", "14", "--expect", "equal"],
+    ["gen", "cycle", "--m", "5", "--json"],
+], ids=lambda argv: argv[0])
+def test_options_stay_on_their_verbs(capsys, argv):
+    # one runner serves every verb but gen, yet only check takes
+    # --expect, and gen takes no --json
+    argv = [str(GOLDEN / a) if a.endswith(".edges") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = "--json" if argv[0] == "gen" else "--expect equal"
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "k4.edges", "--json", "--witness"], 0),
+    (["check", "k4.edges", "--witness", "--expect", "equal"], 1),
+    (["decompose", "k4.edges"], 0),
+    (["oracle", "k4.edges", "--json"], 0),
+    (["bound", "--n", "9"], 0),
+    (["certify", "--n", "9", "--m", "15"], 0),
+    (["gen", "cycle", "--m", "5"], 0),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_closed_stdout_is_no_error(argv, code):
+    # the read end is closed before the child writes: the verb prints no
+    # error line, nothing at interpreter exit, and keeps its exit code
+    argv = [str(GOLDEN / a) if a.endswith(".edges") else a for a in argv]
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "equicycle.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 @pytest.mark.parametrize("verb", ["oracle"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_max_vertices_must_be_positive(bowtie_file, capsys, verb, value):

@@ -46,8 +46,8 @@ RECORDS = [
     (lambda: AllCyclesEqual(4, (CycleShape(4),)),
      "AllCyclesEqual(r=4, shapes=(CycleShape(r=4),), notes=())", ("r", "shapes", "notes")),
     (lambda: DistinctLengths(),
-     "DistinctLengths(witness_a=None, witness_b=None, witness_status='decision-only', shapes=(), notes=())",
-     ("witness_a", "witness_b", "witness_status", "shapes", "notes")),
+     "DistinctLengths(witness_a=None, witness_b=None, shapes=(), notes=())",
+     ("witness_a", "witness_b", "shapes", "notes")),
     (lambda: Acyclic(), "Acyclic(notes=())", ("notes",)),
     (lambda: Block((0, 1, 2), ((0, 1), (0, 2), (1, 2))),
      "Block(vertices=(0, 1, 2), edges=((0, 1), (0, 2), (1, 2)))", ("vertices", "edges")),
@@ -90,3 +90,15 @@ def test_record_repr_immutability_hash_and_truth(make, text, fields):
 def test_derived_r():
     assert BookShape(3, 2).r == 6
     assert OtherShape("x").r is None
+
+
+def test_witness_status_follows_the_pair():
+    # a status stored beside the pair could contradict it; this one is
+    # read off the pair and cannot be assigned
+    assert DistinctLengths._fields == ("witness_a", "witness_b", "shapes", "notes")
+    assert DistinctLengths().witness_status == "decision-only"
+    exact = DistinctLengths((0, 1, 2), (0, 1, 2, 3))
+    assert exact.witness_status == "exact"
+    assert exact._replace(witness_a=None, witness_b=None).witness_status == "decision-only"
+    with pytest.raises(AttributeError):
+        exact.witness_status = "decision-only"
